@@ -264,6 +264,8 @@ class Sample:
             raise ValueError("ys must be one value per row of xs")
         if xs.shape[0] < 1:
             raise ValueError("a sample holds at least one pair")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise ValueError("covariates and responses must be finite")
         if not np.all(ys > 0.0):
             raise ValueError("responses must be strictly positive")
         xs.setflags(write=False)
@@ -280,21 +282,40 @@ class Sample:
         return self.xs.shape[1]
 
 
+def evaluation_grid(omega: tuple[float, float], dimension: int, per_axis: int) -> np.ndarray:
+    """Equispaced grid over omega^dimension, row-major, shape (per_axis^d, d)."""
+    if per_axis < 1:
+        raise ValueError("grid needs at least one point per axis")
+    if not omega[0] < omega[1]:
+        raise ValueError(f"grid window needs lo < hi, got ({omega[0]}, {omega[1]})")
+    axes = np.linspace(omega[0], omega[1], per_axis)
+    if dimension == 1:
+        return axes.reshape(-1, 1)
+    mesh = np.meshgrid(*([axes] * dimension), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # survival / quantile / sampling
 # ---------------------------------------------------------------------------
+
+
+def _tail_fields(model: FrontierModel, xs: np.ndarray) -> tuple:
+    """(alpha, beta, C, D0) at each row of xs: the fields the tail law needs."""
+    return model.alpha.values(xs), model.beta.values(xs), model.C.values(xs), model.D0.values(xs)
+
+
+def _tail_survival(fields, om):
+    """C om^alpha + D0 om^(alpha + beta): the survival at level y = 1 - om."""
+    al, be, cc, dd = fields
+    return cc * om**al + dd * om ** (al + be)
 
 
 def survival_values(model: FrontierModel, xs, ys) -> np.ndarray:
     """Survival of the normalised response, elementwise over paired (xs, ys)."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     ys = np.asarray(ys, dtype=float)
-    al = model.alpha.values(xs)
-    be = model.beta.values(xs)
-    cc = model.C.values(xs)
-    dd = model.D0.values(xs)
-    om = 1.0 - ys
-    return cc * om**al + dd * om ** (al + be)
+    return _tail_survival(_tail_fields(model, xs), 1.0 - ys)
 
 
 def survival(model: FrontierModel, x, y: float) -> float:
@@ -306,15 +327,8 @@ def survival(model: FrontierModel, x, y: float) -> float:
 
 def _quantile_batch(model: FrontierModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
     """Solve survival(x, y) = u by bisection, vectorised over rows of xs."""
-    al = model.alpha.values(xs)
-    be = model.beta.values(xs)
-    cc = model.C.values(xs)
-    dd = model.D0.values(xs)
-
-    def surv(y):
-        om = 1.0 - y
-        return cc * om**al + dd * om ** (al + be)
-
+    fields = _tail_fields(model, xs)
+    _, _, cc, dd = fields
     lo = np.zeros_like(us)
     hi = np.ones_like(us)
     s_lo = cc + dd
@@ -323,7 +337,7 @@ def _quantile_batch(model: FrontierModel, xs: np.ndarray, us: np.ndarray) -> np.
         raise ModelError("requested level exceeds survival at y = 0; does C + D0 equal 1?")
     for _ in range(BISECTION_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        s_mid = surv(mid)
+        s_mid = _tail_survival(fields, 1.0 - mid)
         if np.any(s_mid > s_lo + _MONOTONE_SLACK) or np.any(s_mid < s_hi - _MONOTONE_SLACK):
             raise ModelError("non-monotone survival detected during quantile bisection")
         right = s_mid >= us
@@ -398,22 +412,12 @@ def _default_validation_resolution(d: int) -> int:
     return 256 if d <= 2 else max(2, int(round(65536 ** (1.0 / d))))
 
 
-def _support_grid(d: int, per_axis: int) -> np.ndarray:
-    axes = np.linspace(SUPPORT[0], SUPPORT[1], per_axis)
-    if d == 1:
-        return axes.reshape(-1, 1)
-    mesh = np.meshgrid(*([axes] * d), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def validate(model: FrontierModel, per_axis: int | None = None, y_points: int = 64) -> ValidationReport:
     """Check the model invariants on a grid; returns failures, never raises."""
     d = model.dimension
-    grid = _support_grid(d, per_axis or _default_validation_resolution(d))
-    al = model.alpha.values(grid)
-    be = model.beta.values(grid)
-    cc = model.C.values(grid)
-    dd = model.D0.values(grid)
+    grid = evaluation_grid(SUPPORT, d, per_axis or _default_validation_resolution(d))
+    fields = _tail_fields(model, grid)
+    al, be, cc, dd = fields
     checks: list[CheckResult] = []
 
     mass = cc + dd
@@ -450,8 +454,7 @@ def validate(model: FrontierModel, per_axis: int | None = None, y_points: int = 
     worst_inc = -math.inf
     worst_pt: tuple[float, ...] | None = None
     for y in ys[1:]:
-        om = 1.0 - y
-        cur = cc * om**al + dd * om ** (al + be)
+        cur = _tail_survival(fields, 1.0 - y)
         j = int(np.argmax(cur - prev))
         if cur[j] - prev[j] > worst_inc:
             worst_inc = float(cur[j] - prev[j])
@@ -472,7 +475,7 @@ def validate(model: FrontierModel, per_axis: int | None = None, y_points: int = 
 
 def field_range(field: ScalarField, per_axis: int = 129) -> tuple[float, float]:
     """(min, max) of a scalar field over a grid on the full support."""
-    grid = _support_grid(field.dimension, per_axis)
+    grid = evaluation_grid(SUPPORT, field.dimension, per_axis)
     vals = field.values(grid)
     return float(vals.min()), float(vals.max())
 

@@ -52,17 +52,38 @@ class ScaledMoment:
         return math.log(self.mantissa) + self.log_scale
 
 
-def _window(sample: Sample, x, h: float, kernel: KernelSpec):
-    weights = kernel.scaled_density(x, sample.xs, h)
-    mask = weights > 0.0
-    return weights[mask], sample.ys[mask]
-
-
 def _check_params(p: float, h: float) -> None:
     if not p > 0:
         raise ValueError("moment power p must be positive")
     if not h > 0:
         raise ValueError("bandwidth h must be positive")
+
+
+def _window(sample: Sample, x, h: float, kernel: KernelSpec):
+    """The one scan of the sample: (weights, t = Y / M, M) over the kernel window.
+
+    Only points with positive kernel weight are kept; M is the largest
+    response among them, so every t lies in (0, 1].  An empty window gives
+    empty arrays and M = 0.
+    """
+    weights = kernel.scaled_density(x, sample.xs, h)
+    mask = weights > 0.0
+    w, y = weights[mask], sample.ys[mask]
+    if w.size == 0:
+        return w, y, 0.0
+    m = float(y.max())
+    return w, y / m, m
+
+
+def _ratio(w, t, m: float, q: float) -> float:
+    """mu_q / mu_(q+1) over the window, both moments on the scale m."""
+    if w.size == 0:
+        raise InsufficientLocalDataError(0)
+    tq = t**q
+    den = float(np.sum(tq * t * w))
+    if den <= 0.0:
+        raise InsufficientLocalDataError(w.size, f"window of {w.size} points carries no usable moment mass")
+    return float(np.sum(tq * w)) / (m * den)
 
 
 def scaled_moment(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> ScaledMoment:
@@ -71,13 +92,11 @@ def scaled_moment(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> 
     An empty window is a value, not an error: count 0, mantissa 0.
     """
     _check_params(p, h)
-    w, y = _window(sample, x, h, kernel)
-    count = int(w.size)
-    if count == 0:
+    w, t, m = _window(sample, x, h, kernel)
+    if w.size == 0:
         return ScaledMoment(log_scale=0.0, mantissa=0.0, count=0)
-    m = float(y.max())
-    mantissa = float(np.sum((y / m) ** p * w)) / sample.n
-    return ScaledMoment(log_scale=p * math.log(m), mantissa=mantissa, count=count)
+    mantissa = float(np.sum(t**p * w)) / sample.n
+    return ScaledMoment(log_scale=p * math.log(m), mantissa=mantissa, count=w.size)
 
 
 def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> float:
@@ -87,18 +106,7 @@ def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> f
     the naive ratio of the two moments.
     """
     _check_params(p, h)
-    w, y = _window(sample, x, h, kernel)
-    count = int(w.size)
-    if count == 0:
-        raise InsufficientLocalDataError(0)
-    m = float(y.max())
-    t = y / m
-    tp = t**p
-    num = float(np.sum(tp * w))
-    den = float(np.sum(tp * t * w))
-    if den <= 0.0:
-        raise InsufficientLocalDataError(count, f"window of {count} points carries no usable moment mass")
-    return num / (m * den)
+    return _ratio(*_window(sample, x, h, kernel), p)
 
 
 def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: KernelSpec):
@@ -110,27 +118,16 @@ def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: K
     _check_params(p, h)
     if not a > 0:
         raise ValueError("order multiplier a must be positive")
-    w, y = _window(sample, x, h, kernel)
-    count = int(w.size)
-    if count == 0:
-        raise InsufficientLocalDataError(0)
-    m = float(y.max())
-    t = y / m
-    tp = t**p
-    tq = t ** ((a + 1.0) * p)
-    den_low = float(np.sum(tp * t * w))
-    den_high = float(np.sum(tq * t * w))
-    if den_low <= 0.0 or den_high <= 0.0:
-        raise InsufficientLocalDataError(count, f"window of {count} points carries no usable moment mass")
-    low = float(np.sum(tp * w)) / (m * den_low)
-    high = float(np.sum(tq * w)) / (m * den_high)
-    return high, low, count
+    w, t, m = _window(sample, x, h, kernel)
+    high = _ratio(w, t, m, (a + 1.0) * p)
+    low = _ratio(w, t, m, p)
+    return high, low, w.size
 
 
 def effective_count(sample: Sample, x, h: float) -> int:
-    """Number of sample points strictly inside the radius-h ball around x."""
-    if not h > 0:
-        raise ValueError("bandwidth h must be positive")
-    x = np.asarray(x, dtype=float)
-    d2 = np.sum((sample.xs - x) ** 2, axis=1)
-    return int(np.count_nonzero(d2 < h * h))
+    """Number of sample points strictly inside the radius-h ball around x.
+
+    Uses the kernel window's own test, ||(x - X) / h||^2 < 1, so the count
+    always matches the one the moment ratios report.
+    """
+    return _window(sample, x, h, KernelSpec("uniform_ball", sample.dimension))[0].size

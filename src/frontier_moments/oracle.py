@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .kernels import KernelSpec
-from .model import SUPPORT, FrontierModel
+from .model import SUPPORT, FrontierModel, _tail_fields, _tail_survival, evaluation_grid
 
 # Stirling tail S(z) in gammaln(z) = (z - 1/2) log z - z + log(2 pi)/2 + S(z);
 # coefficients of z^-1, z^-3, ..., z^-9, ample for z >= 32
@@ -93,18 +93,9 @@ class MomentDecomposition:
         return self.main + self.error
 
 
-def _fields_at(model: FrontierModel, xs: np.ndarray):
-    return (
-        model.alpha.values(xs),
-        model.beta.values(xs),
-        model.C.values(xs),
-        model.D0.values(xs),
-    )
-
-
 def _moment_rel_batch(model: FrontierModel, xs: np.ndarray, p: float) -> np.ndarray:
     """m_p / g^p on a batch of points, through the Beta closed form."""
-    al, be, cc, dd = _fields_at(model, xs)
+    al, be, cc, dd = _tail_fields(model, xs)
     return p * (cc * np.exp(log_beta(p, al + 1.0)) + dd * np.exp(log_beta(p, al + be + 1.0)))
 
 
@@ -113,7 +104,7 @@ def moment_decomposition(model: FrontierModel, x, p: float) -> MomentDecompositi
     if not p > 0:
         raise ValueError("moment power p must be positive")
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    al, be, cc, dd = (float(v[0]) for v in _fields_at(model, xs))
+    al, be, cc, dd = (float(v[0]) for v in _tail_fields(model, xs))
     main = cc * p * math.exp(log_beta(p, al + 1.0))
     error = dd * p * math.exp(log_beta(p, al + be + 1.0))
     return MomentDecomposition(main=main, error=error)
@@ -149,14 +140,14 @@ def moment_brute(model: FrontierModel, x, p: float) -> float:
     if not p > 0:
         raise ValueError("moment power p must be positive")
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    al, be, cc, dd = (float(v[0]) for v in _fields_at(model, xs))
+    fields = tuple(float(v[0]) for v in _tail_fields(model, xs))
     nodes, weights = _BRUTE_NODES
     upper = min(p, 60.0)
     total = 0.0
     for a, b in _graded_panels(upper):
         t = 0.5 * (b - a) * nodes + 0.5 * (b + a)
         u = t / p
-        vals = np.exp((p - 1.0) * np.log1p(-u)) * (cc * u**al + dd * u ** (al + be))
+        vals = np.exp((p - 1.0) * np.log1p(-u)) * _tail_survival(fields, u)
         total += 0.5 * (b - a) * float(weights @ vals)
     return total
 
@@ -240,19 +231,10 @@ LOG_GAMMA_RATIO_BOUND = 1.0 / 12.0
 # ---------------------------------------------------------------------------
 
 
-def _omega_points(model: FrontierModel, per_axis: int) -> np.ndarray:
-    lo, hi = model.omega
-    axes = np.linspace(lo, hi, per_axis)
-    if model.dimension == 1:
-        return axes.reshape(-1, 1)
-    mesh = np.meshgrid(*([axes] * model.dimension), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
-
 def oracle_report(model: FrontierModel, kernel: KernelSpec | None = None) -> dict:
     """Run the oracle invariants against a model; failures are content, not errors."""
     kernel = kernel or KernelSpec(dimension=model.dimension)
-    xs = _omega_points(model, 5 if model.dimension == 1 else 3)
+    xs = evaluation_grid(model.omega, model.dimension, 5 if model.dimension == 1 else 3)
     report: dict = {"checks": {}}
 
     # closed form vs direct quadrature

@@ -76,13 +76,21 @@ def cell_seed(base_seed: int, size_index: int, replication: int, replications: i
 
 
 def _study_cells(model: FrontierModel, config: StudyConfig):
-    """Validate the schedule at every size up front, then enumerate cells."""
+    """Validate the schedule at every size up front, then enumerate (n, replication, seed) cells."""
     scheduled = {n: schedule(n, config.schedule) for n in config.sizes}
     cells = []
     for i, n in enumerate(config.sizes):
         for rep in range(config.replications):
-            cells.append((i, n, rep, cell_seed(config.base_seed, i, rep, config.replications)))
+            cells.append((n, rep, cell_seed(config.base_seed, i, rep, config.replications)))
     return scheduled, cells
+
+
+def _map_cells(run_cell, cells, workers: int) -> list:
+    """run_cell over cells, results in cell order; on a thread pool when workers > 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run_cell, cells))
+    return [run_cell(c) for c in cells]
 
 
 def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tuple[dict, dict]:
@@ -95,7 +103,7 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
     kernel = KernelSpec(profile=config.kernel_profile, dimension=model.dimension)
 
     def run_cell(cell):
-        _, n, rep, seed = cell
+        n, rep, seed = cell
         p, h = scheduled[n]
         start = time.perf_counter()
         smpl = sample(model, n, seed)
@@ -115,19 +123,11 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
             "sup_error": sup,
             "failures": failures,
         }
-        return cell, result, elapsed
+        return result, elapsed
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(c) for c in cells]
-
-    outcomes.sort(key=lambda item: (item[0][0], item[0][2]))
-    results = [r for _, r, _ in outcomes]
-    timings = [
-        {"n": c[1], "replication": c[2], "wall_time_s": t} for c, _, t in outcomes
-    ]
+    outcomes = _map_cells(run_cell, cells, workers)
+    results = [r for r, _ in outcomes]
+    timings = [{"n": r["n"], "replication": r["replication"], "wall_time_s": t} for r, t in outcomes]
 
     report = {
         "schema": REPORT_SCHEMA,
@@ -231,7 +231,7 @@ def moment_concentration(
         log_g[n] = np.log(model.g.values(grid))
 
     def run_cell(cell):
-        _, n, rep, seed = cell
+        n, rep, seed = cell
         p, h = scheduled[n]
         smpl = sample(model, n, seed)
         worst = 0.0
@@ -243,15 +243,9 @@ def moment_concentration(
                 log_ratio = moment.log_value - p * log_g[n][i] - log_truth[n][i]
                 deviation = abs(math.exp(log_ratio) - 1.0)
             worst = max(worst, deviation)
-        return cell, {"n": n, "replication": rep, "seed": seed, "p": p, "h": h, "max_deviation": worst}
+        return {"n": n, "replication": rep, "seed": seed, "p": p, "h": h, "max_deviation": worst}
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_cell, cells))
-    else:
-        outcomes = [run_cell(c) for c in cells]
-    outcomes.sort(key=lambda item: (item[0][0], item[0][2]))
-    results = [r for _, r in outcomes]
+    results = _map_cells(run_cell, cells, workers)
 
     medians = []
     for n in config.sizes:
@@ -300,6 +294,9 @@ def read_dataset(path) -> Sample:
                 values = [float(v) for v in row]
             except ValueError:
                 raise DatasetFormatError(f"line {lineno}: non-numeric value in {row!r}", line=lineno) from None
+            if not all(map(math.isfinite, values)):
+                # well-formed but invalid data: a validation failure, like a nonpositive response
+                raise ValueError(f"line {lineno}: non-finite value in {row!r}")
             xs.append(values[:d])
             ys.append(values[d])
     if not xs:

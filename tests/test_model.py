@@ -245,6 +245,11 @@ class TestSampleType:
             Sample(xs=np.zeros((3, 1)), ys=np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             Sample(xs=np.zeros((0, 1)), ys=np.zeros(0))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                Sample(xs=np.array([[0.5], [bad]]), ys=np.ones(2))
+            with pytest.raises(ValueError, match="finite"):
+                Sample(xs=np.full((2, 1), 0.5), ys=np.array([1.0, bad]))
 
     def test_arrays_are_frozen(self):
         s = Sample(xs=np.ones((2, 1)), ys=np.ones(2))

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from frontier_moments import (
     KernelSpec,
     Sample,
     effective_count,
+    load_model,
     moment_ratio,
     moment_ratio_pair,
+    sample,
     scaled_moment,
 )
 
@@ -134,8 +137,85 @@ class TestEffectiveCount:
         assert abs(count - 2000) <= 3.0 * math.sqrt(10000 * 0.2 * 0.8)
 
     def test_strict_inequality_at_radius(self):
-        s = Sample(xs=np.array([[0.0], [0.1]]), ys=np.array([1.0, 1.0]))
-        assert effective_count(s, [0.0], 0.1) == 1
+        # the second point lies exactly on the ball; in d = 2 the test
+        # ||X - x||^2 < h^2 would round it inside, the window's ||(x - X) / h||^2 < 1 does not
+        for xs, x, h in (([[0.0], [0.1]], [0.0], 0.1), ([[0.3, 0.3], [0.33, 0.26]], [0.3, 0.3], 0.05)):
+            s = Sample(xs=np.array(xs), ys=np.array([1.0, 1.0]))
+            assert effective_count(s, x, h) == 1
+            assert moment_ratio_pair(s, x, 5.0, 1.0, h, KernelSpec(dimension=len(x)))[2] == 1
+
+
+def full_scan(sample, x, powers, h, kernel):
+    """Reference: one loop over all n points with the kernel formula written out.
+
+    Returns (sums, count, M): sums[k] = sum over the window of K_h(x - X_i) (Y_i / M)^powers[k],
+    all on the one scale M, the largest response in the window.
+    """
+    d, c, degree = kernel.dimension, kernel.normalization, kernel.degree
+    window = []
+    for i in range(sample.n):
+        r2 = sum(((x[k] - sample.xs[i, k]) / h) ** 2 for k in range(d))
+        if r2 < 1.0:
+            window.append((c * (1.0 - r2) ** degree / h**d, float(sample.ys[i])))
+    if not window:
+        return None, 0, None
+    m = max(y for _, y in window)
+    return [math.fsum(w * (y / m) ** q for w, y in window) for q in powers], len(window), m
+
+
+def _two_term_sample(n, seed):
+    model = load_model(Path(__file__).resolve().parent.parent / "models" / "two_term_tail.json")
+    return sample(model, n, seed)  # D0 != 0
+
+
+def _plane_sample(n, seed):
+    rng = np.random.default_rng(seed)
+    return Sample(xs=rng.random((n, 2)), ys=rng.random(n) + 0.1)
+
+
+def _boundary_sample():
+    # (0.33, 0.26) sits exactly on the radius-0.05 ball around (0.3, 0.3)
+    xs = np.array([[0.3, 0.3], [0.33, 0.26], [0.31, 0.32], [0.28, 0.29], [0.9, 0.9]])
+    return Sample(xs=xs, ys=np.array([0.7, 2.0, 0.9, 0.95, 3.0]))
+
+
+@pytest.mark.parametrize(
+    "smpl, x, h",
+    [
+        (uniform_sample(400, seed=20), [0.5], 0.1),
+        (uniform_sample(400, seed=20), [0.03], 0.05),
+        (_two_term_sample(2000, seed=21), [0.4], 0.02),
+        (_plane_sample(600, seed=22), [0.5, 0.4], 0.1),
+        (Sample(xs=np.array([[0.2], [0.5], [0.8]]), ys=np.array([3.0, 0.6, 5.0])), [0.52], 0.1),
+        (_boundary_sample(), [0.3, 0.3], 0.05),
+        (Sample(xs=np.array([[0.0], [0.1], [0.35]]), ys=np.array([2.0, 1.0, 1.5])), [0.0], 0.1),
+        (uniform_sample(50, seed=24), [10.0], 0.05),
+    ],
+    ids=["d1", "d1-edge", "two-term-tail", "d2", "one-point", "d2-on-ball", "d1-on-ball", "empty"],
+)
+@pytest.mark.parametrize("profile", ["epanechnikov_ball", "biweight_ball", "uniform_ball"])
+def test_matches_full_scan_reference(smpl, x, h, profile):
+    kernel = KernelSpec(profile=profile, dimension=smpl.dimension)
+    for p, a in ((1.0, 1.0), (7.5, 0.5), (120.0, 2.0)):
+        sums, count, m = full_scan(smpl, x, [p, p + 1.0, (a + 1.0) * p, (a + 1.0) * p + 1.0], h, kernel)
+        moment = scaled_moment(smpl, x, p, h, kernel)
+        assert moment.count == count
+        if count == 0:
+            assert moment.mantissa == 0.0
+            with pytest.raises(InsufficientLocalDataError):
+                moment_ratio(smpl, x, p, h, kernel)
+            with pytest.raises(InsufficientLocalDataError) as err:
+                moment_ratio_pair(smpl, x, p, a, h, kernel)
+            assert err.value.count == 0
+            continue
+        assert_allclose(moment.mantissa, sums[0] / smpl.n, rtol=1e-13)
+        assert_allclose(moment.log_scale, p * math.log(m), rtol=1e-13)
+        low = sums[0] / (m * sums[1])
+        high = sums[2] / (m * sums[3])
+        assert_allclose(moment_ratio(smpl, x, p, h, kernel), low, rtol=1e-13)
+        got_high, got_low, got_count = moment_ratio_pair(smpl, x, p, a, h, kernel)
+        assert got_count == count == effective_count(smpl, x, h)
+        assert_allclose([got_high, got_low], [high, low], rtol=1e-13)
 
 
 def test_moment_ratio_with_flat_kernel():

@@ -207,6 +207,25 @@ class TestEstimateCommand:
         assert main(["estimate", str(data), "--p", "20", "--h", "0.2", "--out", str(tmp_path / "o.csv")]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row", ["nan,1.0", "0.45,inf"])
+    def test_non_finite_value_exits_2_with_line(self, tmp_path, capsys, bad_row):
+        data = tmp_path / "data.csv"
+        data.write_text(f"x_1,y\n0.5,1.0\n0.4,0.9\n{bad_row}\n0.6,1.1\n")
+        out = tmp_path / "o.csv"
+        assert main(["estimate", str(data), "--p", "20", "--h", "0.2", "--out", str(out)]) == 2
+        assert "line 4" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_reversed_omega_exits_2(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.csv"
+        write_dataset(Sample(xs=rng.random((50, 1)), ys=np.ones(50)), data)
+        out = tmp_path / "o.csv"
+        argv = ["estimate", str(data), "--p", "20", "--h", "0.2", "--omega", "0.9", "0.1", "--out", str(out)]
+        assert main(argv) == 2
+        assert "lo < hi" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_grid_everywhere_exits_3(self, tmp_path):
         # one observation far from the evaluation window
         data = tmp_path / "data.csv"
