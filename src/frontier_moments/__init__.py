@@ -24,7 +24,6 @@ from .model import (
     Sample,
     ScalarField,
     ValidationReport,
-    conditional_normalized_sample,
     field_range,
     load_model,
     model_from_dict,

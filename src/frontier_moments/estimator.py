@@ -159,15 +159,11 @@ class RateSchedule:
                 f"{self.eta_g * self.c2:.6g}, so p h^eta_g grows"
             )
 
-    @property
-    def growth_margin(self) -> float:
-        """1 - alpha_bar*c1 - d*c2; zero on the rate-optimal boundary."""
-        return 1.0 - self.alpha_bar * self.c1 - self.d * self.c2
-
     @classmethod
-    def optimal(cls, d: int, eta_g: float, alpha_bar: float, k1: float = 0.5, k2: float = 1.0) -> "RateSchedule":
+    def optimal(cls, d: int, eta_g: float, alpha_bar: float) -> "RateSchedule":
+        """The rate-optimal exponents with the default constants k1, k2."""
         c1, c2 = rate_exponents(d, eta_g, alpha_bar)
-        return cls(c1=c1, c2=c2, d=d, eta_g=eta_g, alpha_bar=alpha_bar, k1=k1, k2=k2)
+        return cls(c1=c1, c2=c2, d=d, eta_g=eta_g, alpha_bar=alpha_bar)
 
 
 def schedule(n: int, sched: RateSchedule) -> tuple[float, float]:

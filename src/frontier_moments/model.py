@@ -22,7 +22,6 @@ import numpy as np
 SUPPORT = (0.0, 1.0)
 DEFAULT_OMEGA = (0.1, 0.9)
 
-BISECTION_TOL = 1e-12
 BISECTION_MAX_ITER = 100
 _MONOTONE_SLACK = 1e-9
 
@@ -47,8 +46,7 @@ class ScalarField:
     sinusoid : ``a + b * sin(2 pi <c, x>)`` with |b| < a, so the field keeps
                the sign of ``a``.
 
-    The affine and sinusoid forms are Lipschitz; their declared Holder
-    exponent is 1.
+    The affine and sinusoid forms are Lipschitz.
     """
 
     kind: str
@@ -77,10 +75,6 @@ class ScalarField:
                 raise ModelError("sinusoid frequency c needs one entry per coordinate")
             if not abs(self.b[0]) < self.a:
                 raise ModelError("sinusoid requires |b| < a so the field cannot change sign")
-
-    @property
-    def holder_exponent(self) -> float:
-        return 1.0
 
     def values(self, xs) -> np.ndarray:
         """Evaluate on a batch of points of shape (n, d)."""
@@ -370,16 +364,6 @@ def sample(model: FrontierModel, n: int, seed: int) -> Sample:
     return Sample(xs=xs, ys=ys)
 
 
-def conditional_normalized_sample(model: FrontierModel, x, n: int, seed: int) -> np.ndarray:
-    """Test hook: draws of Y / g(x) at a fixed covariate value x."""
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = np.minimum(1.0 - rng.random(n), 1.0 - 2.0**-53)
-    xs = np.tile(np.atleast_1d(np.asarray(x, dtype=float)), (n, 1))
-    return _quantile_batch(model, xs, u)
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -412,10 +396,10 @@ def _default_validation_resolution(d: int) -> int:
     return 256 if d <= 2 else max(2, int(round(65536 ** (1.0 / d))))
 
 
-def validate(model: FrontierModel, per_axis: int | None = None, y_points: int = 64) -> ValidationReport:
+def validate(model: FrontierModel) -> ValidationReport:
     """Check the model invariants on a grid; returns failures, never raises."""
     d = model.dimension
-    grid = evaluation_grid(SUPPORT, d, per_axis or _default_validation_resolution(d))
+    grid = evaluation_grid(SUPPORT, d, _default_validation_resolution(d))
     fields = _tail_fields(model, grid)
     al, be, cc, dd = fields
     checks: list[CheckResult] = []
@@ -449,7 +433,7 @@ def validate(model: FrontierModel, per_axis: int | None = None, y_points: int = 
             )
         )
 
-    ys = np.linspace(0.0, 1.0, y_points)
+    ys = np.linspace(0.0, 1.0, 64)
     prev = mass
     worst_inc = -math.inf
     worst_pt: tuple[float, ...] | None = None
@@ -473,9 +457,9 @@ def validate(model: FrontierModel, per_axis: int | None = None, y_points: int = 
     return ValidationReport(checks=tuple(checks))
 
 
-def field_range(field: ScalarField, per_axis: int = 129) -> tuple[float, float]:
-    """(min, max) of a scalar field over a grid on the full support."""
-    grid = evaluation_grid(SUPPORT, field.dimension, per_axis)
+def field_range(field: ScalarField) -> tuple[float, float]:
+    """(min, max) of a scalar field over a 129-point-per-axis grid on the full support."""
+    grid = evaluation_grid(SUPPORT, field.dimension, 129)
     vals = field.values(grid)
     return float(vals.min()), float(vals.max())
 
@@ -501,6 +485,8 @@ def model_to_dict(model: FrontierModel) -> dict:
 
 
 def model_from_dict(spec: dict) -> FrontierModel:
+    if not isinstance(spec, dict):
+        raise ModelError(f"model specification must be a JSON object, got {type(spec).__name__}")
     d = int(spec.get("dimension", 1))
     f_spec = spec.get("f")
     if f_spec is None:
@@ -520,8 +506,12 @@ def model_from_dict(spec: dict) -> FrontierModel:
         sub = spec.get(name, defaults.get(name))
         if sub is None:
             raise ModelError(f"model specification is missing required field {name!r}")
+        if not isinstance(sub, dict) or "kind" not in sub or "a" not in sub:
+            raise ModelError(f"field {name!r} must be an object with 'kind' and 'a', got {sub!r}")
         fields[name] = ScalarField.from_dict(sub, d)
-    omega = tuple(spec.get("omega", DEFAULT_OMEGA))
+    omega = spec.get("omega", DEFAULT_OMEGA)
+    if not isinstance(omega, (list, tuple)) or len(omega) != 2 or not all(isinstance(v, (int, float)) for v in omega):
+        raise ModelError(f"field 'omega' must be two numbers, got {omega!r}")
     return FrontierModel(
         g=fields["g"],
         alpha=fields["alpha"],

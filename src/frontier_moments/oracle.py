@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .kernels import KernelSpec
-from .model import SUPPORT, FrontierModel, _tail_fields, _tail_survival, evaluation_grid
+from .model import SUPPORT, FrontierModel, _tail_fields, _tail_survival, evaluation_grid, field_range
 
 # Stirling tail S(z) in gammaln(z) = (z - 1/2) log z - z + log(2 pi)/2 + S(z);
 # coefficients of z^-1, z^-3, ..., z^-9, ample for z >= 32
@@ -118,6 +118,15 @@ def moment_ratio_exact(model: FrontierModel, x, p: float) -> float:
 
 
 _BRUTE_NODES = leggauss(48)
+_BALL_NODES, _BALL_WEIGHTS = leggauss(64)
+# tensor Gauss-Legendre rules on [-1, 1]^d for the smoothed moment, keyed by d
+_BALL_RULES = {
+    1: (_BALL_NODES.reshape(-1, 1), _BALL_WEIGHTS),
+    2: (
+        np.stack([m.ravel() for m in np.meshgrid(_BALL_NODES, _BALL_NODES, indexing="ij")], axis=1),
+        np.outer(_BALL_WEIGHTS, _BALL_WEIGHTS).ravel(),
+    ),
+}
 _GRADING_LEVELS = 30
 
 
@@ -152,17 +161,6 @@ def moment_brute(model: FrontierModel, x, p: float) -> float:
     return total
 
 
-def _ball_nodes(dimension: int, points_per_axis: int = 64):
-    nodes, weights = leggauss(points_per_axis)
-    if dimension == 1:
-        return nodes.reshape(-1, 1), weights
-    if dimension == 2:
-        uu, vv = np.meshgrid(nodes, nodes, indexing="ij")
-        pts = np.stack([uu.ravel(), vv.ravel()], axis=1)
-        return pts, np.outer(weights, weights).ravel()
-    raise NotImplementedError("smoothed-moment quadrature supports d <= 2")
-
-
 def smoothed_moment(model: FrontierModel, x, p: float, h: float, kernel: KernelSpec) -> float:
     """mu_p(x) / g(x)^p by Gauss-Legendre quadrature over the kernel ball.
 
@@ -181,7 +179,9 @@ def smoothed_moment(model: FrontierModel, x, p: float, h: float, kernel: KernelS
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x - h < SUPPORT[0] - 1e-12) or np.any(x + h > SUPPORT[1] + 1e-12):
         raise ValueError("kernel ball exits the covariate support")
-    u, weights = _ball_nodes(model.dimension)
+    if model.dimension not in _BALL_RULES:
+        raise NotImplementedError("smoothed-moment quadrature supports d <= 2")
+    u, weights = _BALL_RULES[model.dimension]
     pts = x - h * u
     kv = kernel.density(u)
     fv = model.f.pdf(pts)
@@ -231,9 +231,9 @@ LOG_GAMMA_RATIO_BOUND = 1.0 / 12.0
 # ---------------------------------------------------------------------------
 
 
-def oracle_report(model: FrontierModel, kernel: KernelSpec | None = None) -> dict:
-    """Run the oracle invariants against a model; failures are content, not errors."""
-    kernel = kernel or KernelSpec(dimension=model.dimension)
+def oracle_report(model: FrontierModel) -> dict:
+    """Run the oracle invariants with the Epanechnikov kernel; failures are content, not errors."""
+    kernel = KernelSpec(dimension=model.dimension)
     xs = evaluation_grid(model.omega, model.dimension, 5 if model.dimension == 1 else 3)
     report: dict = {"checks": {}}
 
@@ -271,8 +271,6 @@ def oracle_report(model: FrontierModel, kernel: KernelSpec | None = None) -> dic
     }
 
     # consecutive-ratio expansion, gap scaled by p^(beta_min + 1)
-    from .model import field_range
-
     beta_min = field_range(model.beta)[0]
     raw_gaps = []
     scaled_gaps = []

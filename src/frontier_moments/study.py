@@ -36,6 +36,7 @@ from .oracle import smoothed_moment
 
 REPORT_SCHEMA = "frontier-moments/mc-study/1"
 SEED_STRIDE = 2_147_483_647  # large odd constant between replication streams
+_CONCENTRATION_GRID = 50
 
 
 class DatasetFormatError(ValueError):
@@ -98,6 +99,8 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
 
     The report is independent of ``workers``; only the timing dict varies.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     scheduled, cells = _study_cells(model, config)
     grid = evaluation_grid(model.omega, model.dimension, config.grid_per_axis)
     kernel = KernelSpec(profile=config.kernel_profile, dimension=model.dimension)
@@ -205,20 +208,16 @@ def _aggregate(model, config, scheduled, results) -> dict:
     }
 
 
-def moment_concentration(
-    model: FrontierModel,
-    config: StudyConfig,
-    grid_per_axis: int = 50,
-    workers: int = 1,
-) -> dict:
+def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
     """Worst relative deviation of the empirical kernel moment from its
-    smoothed ground truth, per cell, with per-size medians.
+    smoothed ground truth, per cell, with per-size medians, on a
+    50-point-per-axis grid.
 
     Reuses the same per-cell seeds as ``run_study`` under the same config,
     so the underlying samples are shared between the two studies.
     """
     scheduled, cells = _study_cells(model, config)
-    grid = evaluation_grid(model.omega, model.dimension, grid_per_axis)
+    grid = evaluation_grid(model.omega, model.dimension, _CONCENTRATION_GRID)
     kernel = KernelSpec(profile=config.kernel_profile, dimension=model.dimension)
 
     log_truth: dict[int, np.ndarray] = {}
@@ -245,7 +244,7 @@ def moment_concentration(
             worst = max(worst, deviation)
         return {"n": n, "replication": rep, "seed": seed, "p": p, "h": h, "max_deviation": worst}
 
-    results = _map_cells(run_cell, cells, workers)
+    results = [run_cell(c) for c in cells]
 
     medians = []
     for n in config.sizes:
@@ -253,7 +252,7 @@ def moment_concentration(
         medians.append(float(np.median(vals)))
     return {
         "sizes": list(config.sizes),
-        "grid_points_per_axis": grid_per_axis,
+        "grid_points_per_axis": _CONCENTRATION_GRID,
         "cells": results,
         "median_max_deviation": medians,
     }
@@ -264,25 +263,30 @@ def moment_concentration(
 # ---------------------------------------------------------------------------
 
 
+def _columns(d: int, *tail: str) -> list[str]:
+    """CSV header: the covariate columns x_1..x_d, then ``tail``."""
+    return [f"x_{k + 1}" for k in range(d)] + list(tail)
+
+
 def write_dataset(smpl: Sample, path) -> None:
     """CSV with header x_1..x_d,y; values as shortest round-trip decimals."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x_{k + 1}" for k in range(smpl.dimension)] + ["y"])
-        for i in range(smpl.n):
-            writer.writerow([repr(float(v)) for v in smpl.xs[i]] + [repr(float(smpl.ys[i]))])
+        writer.writerow(_columns(smpl.dimension, "y"))
+        # csv writes a Python float as its repr, the shortest round-trip decimal
+        writer.writerows(np.column_stack((smpl.xs, smpl.ys)).tolist())
 
 
 def read_dataset(path) -> Sample:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # surrogateescape turns an undecodable byte into text that fails the numeric parse below
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DatasetFormatError("dataset file is empty", line=1) from None
         d = len(header) - 1
-        expected = [f"x_{k + 1}" for k in range(d)] + ["y"]
-        if d < 1 or header != expected:
+        if d < 1 or header != _columns(d, "y"):
             raise DatasetFormatError(f"unexpected header {header!r}; want x_1..x_d,y", line=1)
         xs, ys = [], []
         for lineno, row in enumerate(reader, start=2):
@@ -310,7 +314,7 @@ def write_estimates(records, path) -> None:
     d = len(records[0].x) if records else 1
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x_{k + 1}" for k in range(d)] + ["g_hat", "effective_count", "raw_inverse"])
+        writer.writerow(_columns(d, "g_hat", "effective_count", "raw_inverse"))
         for r in records:
             row = [repr(v) for v in r.x]
             row.append(repr(r.g_hat) if r.g_hat is not None else "")

@@ -224,7 +224,7 @@ def test_criterion_09_moment_concentration():
         sizes=STUDY_SIZES, replications=STUDY_REPS, schedule=CONCENTRATION_SCHEDULE,
         grid_per_axis=101, base_seed=STUDY_SEED,
     )
-    out = moment_concentration(CANONICAL, config, grid_per_axis=50)
+    out = moment_concentration(CANONICAL, config)
     medians = out["median_max_deviation"]
     elapsed = time.perf_counter() - start
     ok = all(b < a for a, b in zip(medians, medians[1:])) and elapsed < 300.0

@@ -11,7 +11,6 @@ from frontier_moments import (
     ModelError,
     Sample,
     ScalarField,
-    conditional_normalized_sample,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -22,6 +21,14 @@ from frontier_moments import (
     survival_values,
     validate,
 )
+from frontier_moments.model import _quantile_batch
+
+
+def conditional_normalized_sample(model: FrontierModel, x, n: int, seed: int) -> np.ndarray:
+    """Draws of Y / g(x) at a fixed covariate value x."""
+    rng = np.random.default_rng(seed)
+    u = np.minimum(1.0 - rng.random(n), 1.0 - 2.0**-53)
+    return _quantile_batch(model, np.tile(np.asarray(x, dtype=float), (n, 1)), u)
 
 
 def make_model(**overrides) -> FrontierModel:

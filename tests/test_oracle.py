@@ -150,6 +150,11 @@ class TestSmoothedMoment:
         got = smoothed_moment(m, np.array([0.5, 0.5]), 9.0, 0.05, k2)
         assert_allclose(got, 0.1, rtol=1e-4)
 
+    def test_three_dimensions_not_supported(self):
+        m = build(d=3)
+        with pytest.raises(NotImplementedError):
+            smoothed_moment(m, np.full(3, 0.5), 9.0, 0.05, KernelSpec(dimension=3))
+
 
 class TestMomentEquivalent:
     def test_closed_values(self):

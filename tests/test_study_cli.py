@@ -96,6 +96,16 @@ class TestDatasetFiles:
         assert err.value.line == 3
         assert "line 3" in str(err.value)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_values_written_as_repr(self, tmp_path, d):
+        values = [5e-324, 1e-300, 0.1, 1.0 / 3.0, 1.0 - 2.0**-53, 123456789.125]
+        columns = [values, values[::-1]][:d]
+        path = tmp_path / "data.csv"
+        write_dataset(Sample(xs=np.column_stack(columns), ys=np.array(values)), path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join([f"x_{k + 1}" for k in range(d)] + ["y"])
+        assert lines[1:] == [",".join(repr(c[i]) for c in columns + [values]) for i in range(len(values))]
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n0.5,1.0\n")
@@ -168,6 +178,26 @@ class TestSimulateCommand:
         assert code == 2
         assert "C_plus_D0_equals_one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ({"dimension": 1, "g": {"kind": "constant"}, "alpha": {"kind": "constant", "a": 1.0}}, "'g'"),
+            ({"dimension": 1, "g": {"kind": "constant", "a": 1.0}, "alpha": 1.0}, "'alpha'"),
+            ({**FLAT_SPEC, "beta": {"a": 1.0}}, "'beta'"),
+            ({**FLAT_SPEC, "omega": [0.1]}, "'omega'"),
+            ({**FLAT_SPEC, "omega": 0.5}, "'omega'"),
+            ({**FLAT_SPEC, "omega": ["a", "b"]}, "'omega'"),
+            ([FLAT_SPEC], "JSON object"),
+        ],
+        ids=["field-without-a", "field-not-object", "field-without-kind", "omega-one-number",
+             "omega-scalar", "omega-strings", "top-level-list"],
+    )
+    def test_malformed_model_exits_2_naming_field(self, model_file, tmp_path, capsys, spec, named):
+        model = model_file(spec)
+        code = main(["simulate", "--model", model, "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert named in capsys.readouterr().err
+
     def test_missing_model_exits_1(self, tmp_path):
         code = main(["simulate", "--model", str(tmp_path / "nope.json"), "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
@@ -204,6 +234,12 @@ class TestEstimateCommand:
     def test_unparseable_row_exits_1_with_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("x_1,y\n0.5,1.0\nbroken\n")
+        assert main(["estimate", str(data), "--p", "20", "--h", "0.2", "--out", str(tmp_path / "o.csv")]) == 1
+        assert "line 3" in capsys.readouterr().err
+
+    def test_non_utf8_byte_exits_1_with_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"x_1,y\n0.5,0.7\n0.6,\xff\n")
         assert main(["estimate", str(data), "--p", "20", "--h", "0.2", "--out", str(tmp_path / "o.csv")]) == 1
         assert "line 3" in capsys.readouterr().err
 
@@ -266,6 +302,18 @@ class TestMcStudyCommand:
         assert "wall_time" not in json.dumps(report)
         timing = json.loads((tmp_path / "r0.timing.json").read_text())
         assert len(timing["cells"]) == 4
+
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_exits_2(self, model_file, tmp_path, capsys, workers):
+        model = model_file(CANONICAL_SPEC)
+        out = tmp_path / "r.json"
+        code = main([
+            "mc-study", "--model", model, "--sizes", "400,900", "--reps", "1",
+            "--grid", "5", "--workers", workers, "--out", str(out),
+        ])
+        assert code == 2
+        assert "workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_schedule_violation_fails_before_any_work(self, model_file, tmp_path):
         model = model_file(CANONICAL_SPEC)
