@@ -8,7 +8,6 @@ from .estimator import (
     ScheduleError,
     estimate_at,
     estimate_grid,
-    evaluation_grid,
     rate_exponents,
     schedule,
     sup_error,
@@ -24,6 +23,7 @@ from .model import (
     Sample,
     ScalarField,
     ValidationReport,
+    evaluation_grid,
     field_range,
     load_model,
     model_from_dict,

@@ -16,11 +16,19 @@ from .estimator import (
     RateSchedule,
     ScheduleError,
     estimate_grid,
-    evaluation_grid,
     rate_exponents,
 )
 from .kernels import kernel_from_name
-from .model import DEFAULT_OMEGA, FrontierModel, ModelError, field_range, load_model, sample, validate
+from .model import (
+    DEFAULT_OMEGA,
+    FrontierModel,
+    ModelError,
+    evaluation_grid,
+    field_range,
+    load_model,
+    sample,
+    validate,
+)
 from .oracle import oracle_report
 from .study import (
     DatasetFormatError,
@@ -78,12 +86,9 @@ def _cmd_estimate(args) -> int:
 
 def _build_schedule(args, model: FrontierModel) -> RateSchedule:
     alpha_bar = args.alpha_bar if args.alpha_bar is not None else field_range(model.alpha)[1]
-    if args.c1 is None or args.c2 is None:
-        c1, c2 = rate_exponents(model.dimension, model.eta_g, alpha_bar)
-        c1 = args.c1 if args.c1 is not None else c1
-        c2 = args.c2 if args.c2 is not None else c2
-    else:
-        c1, c2 = args.c1, args.c2
+    c1, c2 = rate_exponents(model.dimension, model.eta_g, alpha_bar)
+    c1 = args.c1 if args.c1 is not None else c1
+    c2 = args.c2 if args.c2 is not None else c2
     return RateSchedule(
         c1=c1, c2=c2, d=model.dimension, eta_g=model.eta_g, alpha_bar=alpha_bar, k1=args.k1, k2=args.k2
     )
@@ -176,7 +181,8 @@ def main(argv=None) -> int:
         return _fail(str(err), EXIT_IO)
     except json.JSONDecodeError as err:
         return _fail(f"malformed JSON: {err}", EXIT_IO)
-    except (ModelError, ScheduleError, ValueError) as err:
+    except (ModelError, ScheduleError, ValueError, NotImplementedError) as err:
+        # NotImplementedError: a valid model outside what the command supports (oracle-check with d > 2)
         return _fail(str(err), EXIT_VALIDATION)
     except DegenerateGridError as err:
         return _fail(str(err), EXIT_DEGENERATE)

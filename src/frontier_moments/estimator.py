@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec
-# evaluation_grid lives with the model; it stays importable from here
-from .model import Sample, ScalarField, evaluation_grid  # noqa: F401
+from .model import Sample, ScalarField
 from .moments import InsufficientLocalDataError, moment_ratio_pair
 
 

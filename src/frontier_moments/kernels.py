@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PROFILES = ("epanechnikov_ball", "biweight_ball", "uniform_ball")
-
 # polynomial degree s of (1 - ||u||^2)^s per profile
 _DEGREE = {"epanechnikov_ball": 1, "biweight_ball": 2, "uniform_ball": 0}
+PROFILES = tuple(_DEGREE)
 
 _ALIASES = {
     "epanechnikov": "epanechnikov_ball",
@@ -58,7 +57,7 @@ class KernelSpec:
     @property
     def is_smooth(self) -> bool:
         """False for the flat profile, which jumps at the ball boundary."""
-        return self.profile != "uniform_ball"
+        return self.degree > 0
 
     @property
     def lipschitz_constant(self) -> float:
@@ -80,12 +79,7 @@ class KernelSpec:
         if u2.shape[1] != self.dimension:
             raise ValueError(f"points have dimension {u2.shape[1]}, kernel expects {self.dimension}")
         r2 = np.sum(u2**2, axis=1)
-        inside = r2 < 1.0
-        s = self.degree
-        if s == 0:
-            vals = self.normalization * inside.astype(float)
-        else:
-            vals = self.normalization * np.where(inside, 1.0 - r2, 0.0) ** s
+        vals = self.normalization * np.where(r2 < 1.0, (1.0 - r2) ** self.degree, 0.0)
         return float(vals[0]) if single else vals
 
     def scaled_density(self, x, xs, h: float):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,20 @@ _FIELD_KINDS = ("constant", "affine", "sinusoid")
 
 class ModelError(ValueError):
     """A frontier model violates its structural assumptions."""
+
+
+def _float(value, what: str) -> float:
+    """float(value), or a ModelError naming ``what``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ModelError(f"{what} must be a number, got {value!r}") from None
+
+
+def _floats(value, what: str) -> tuple[float, ...]:
+    """A number or a list of numbers as a tuple of floats."""
+    items = value if isinstance(value, (list, tuple, np.ndarray)) else (value,)
+    return tuple(_float(v, what) for v in items)
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +75,9 @@ class ScalarField:
             raise ModelError(f"unknown field kind {self.kind!r}; choose from {_FIELD_KINDS}")
         if self.dimension < 1:
             raise ModelError("field dimension must be a positive integer")
-        object.__setattr__(self, "a", float(self.a))
-        b = self.b
-        if isinstance(b, (int, float)):
-            b = (float(b),)
-        object.__setattr__(self, "b", tuple(float(v) for v in b))
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
+        object.__setattr__(self, "a", _float(self.a, "a"))
+        object.__setattr__(self, "b", _floats(self.b, "b"))
+        object.__setattr__(self, "c", _floats(self.c, "c"))
         if self.kind == "affine" and len(self.b) != self.dimension:
             raise ModelError("affine field needs one slope per coordinate")
         if self.kind == "sinusoid":
@@ -94,13 +106,11 @@ class ScalarField:
 
     @classmethod
     def affine(cls, a: float, slope, dimension: int = 1) -> "ScalarField":
-        slope = (slope,) if isinstance(slope, (int, float)) else tuple(slope)
         return cls(kind="affine", a=a, b=slope, dimension=dimension)
 
     @classmethod
     def sinusoid(cls, a: float, amplitude: float, frequency, dimension: int = 1) -> "ScalarField":
-        frequency = (frequency,) if isinstance(frequency, (int, float)) else tuple(frequency)
-        return cls(kind="sinusoid", a=a, b=(amplitude,), c=frequency, dimension=dimension)
+        return cls(kind="sinusoid", a=a, b=amplitude, c=frequency, dimension=dimension)
 
     def to_dict(self) -> dict:
         out = {"kind": self.kind, "a": self.a}
@@ -113,13 +123,7 @@ class ScalarField:
 
     @classmethod
     def from_dict(cls, spec: dict, dimension: int) -> "ScalarField":
-        return cls(
-            kind=spec["kind"],
-            a=spec["a"],
-            b=spec.get("b", ()),
-            c=tuple(spec.get("c", ())),
-            dimension=dimension,
-        )
+        return cls(kind=spec["kind"], a=spec["a"], b=spec.get("b", ()), c=spec.get("c", ()), dimension=dimension)
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,7 @@ class MarginalDensity:
     def __post_init__(self) -> None:
         if self.kind not in ("uniform", "linear"):
             raise ModelError(f"unknown marginal density kind {self.kind!r}")
-        object.__setattr__(self, "slope", float(self.slope))
+        object.__setattr__(self, "slope", _float(self.slope, "slope"))
         if self.kind == "uniform" and self.slope != 0.0:
             raise ModelError("uniform marginal takes no slope")
         if not abs(self.slope) < 2.0:
@@ -375,7 +379,6 @@ class CheckResult:
     passed: bool
     worst_value: float
     worst_point: tuple[float, ...] | None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -412,7 +415,6 @@ def validate(model: FrontierModel) -> ValidationReport:
             passed=bool(abs(mass[i] - 1.0) <= 1e-9),
             worst_value=float(mass[i]),
             worst_point=tuple(grid[i]),
-            detail="survival of the normalised response must start at 1",
         )
     )
 
@@ -450,7 +452,6 @@ def validate(model: FrontierModel) -> ValidationReport:
             passed=bool(worst_inc <= 1e-12),
             worst_value=worst_inc,
             worst_point=worst_pt,
-            detail="largest upward step of survival along the y grid",
         )
     )
 
@@ -484,15 +485,27 @@ def model_to_dict(model: FrontierModel) -> dict:
     }
 
 
+@contextmanager
+def _naming(field: str):
+    """Prefix a ModelError raised inside the block with the name of the model field."""
+    try:
+        yield
+    except ModelError as err:
+        raise ModelError(f"field {field!r}: {err}") from None
+
+
 def model_from_dict(spec: dict) -> FrontierModel:
     if not isinstance(spec, dict):
         raise ModelError(f"model specification must be a JSON object, got {type(spec).__name__}")
-    d = int(spec.get("dimension", 1))
+    d = int(_float(spec.get("dimension", 1), "field 'dimension'"))
     f_spec = spec.get("f")
     if f_spec is None:
         f = CovariateDensity.uniform(d)
     else:
-        marginals = [MarginalDensity.from_dict(m) for m in f_spec]
+        if not isinstance(f_spec, (list, tuple)) or not all(isinstance(m, dict) for m in f_spec):
+            raise ModelError(f"field 'f' must be a list of marginal objects, got {f_spec!r}")
+        with _naming("f"):
+            marginals = [MarginalDensity.from_dict(m) for m in f_spec]
         if len(marginals) == 1 and d > 1:
             marginals = marginals * d
         f = CovariateDensity(marginals=tuple(marginals))
@@ -508,7 +521,8 @@ def model_from_dict(spec: dict) -> FrontierModel:
             raise ModelError(f"model specification is missing required field {name!r}")
         if not isinstance(sub, dict) or "kind" not in sub or "a" not in sub:
             raise ModelError(f"field {name!r} must be an object with 'kind' and 'a', got {sub!r}")
-        fields[name] = ScalarField.from_dict(sub, d)
+        with _naming(name):
+            fields[name] = ScalarField.from_dict(sub, d)
     omega = spec.get("omega", DEFAULT_OMEGA)
     if not isinstance(omega, (list, tuple)) or len(omega) != 2 or not all(isinstance(v, (int, float)) for v in omega):
         raise ModelError(f"field 'omega' must be two numbers, got {omega!r}")
@@ -520,8 +534,8 @@ def model_from_dict(spec: dict) -> FrontierModel:
         D0=fields["D0"],
         f=f,
         dimension=d,
-        eta_g=float(spec.get("eta_g", 1.0)),
-        eta_alpha=float(spec.get("eta_alpha", 1.0)),
+        eta_g=_float(spec.get("eta_g", 1.0), "field 'eta_g'"),
+        eta_alpha=_float(spec.get("eta_alpha", 1.0), "field 'eta_alpha'"),
         omega=omega,
     )
 

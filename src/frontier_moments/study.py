@@ -14,7 +14,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,14 +23,14 @@ from .estimator import (
     DegenerateGridError,
     EstimatorConfig,
     RateSchedule,
+    ScheduleError,
     estimate_grid,
-    evaluation_grid,
     schedule,
     sup_error,
     w_rate,
 )
 from .kernels import KernelSpec
-from .model import FrontierModel, Sample, field_range, model_to_dict, sample
+from .model import FrontierModel, Sample, evaluation_grid, field_range, model_to_dict, sample
 from .moments import scaled_moment
 from .oracle import smoothed_moment
 
@@ -76,22 +76,25 @@ def cell_seed(base_seed: int, size_index: int, replication: int, replications: i
     return base_seed + (size_index * replications + replication) * SEED_STRIDE
 
 
-def _study_cells(model: FrontierModel, config: StudyConfig):
-    """Validate the schedule at every size up front, then enumerate (n, replication, seed) cells."""
-    scheduled = {n: schedule(n, config.schedule) for n in config.sizes}
-    cells = []
-    for i, n in enumerate(config.sizes):
-        for rep in range(config.replications):
-            cells.append((n, rep, cell_seed(config.base_seed, i, rep, config.replications)))
-    return scheduled, cells
+def _study_setup(model: FrontierModel, config: StudyConfig, per_axis: int):
+    """Check the schedule against the model and at every size before any cell runs.
 
-
-def _map_cells(run_cell, cells, workers: int) -> list:
-    """run_cell over cells, results in cell order; on a thread pool when workers > 1."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_cell, cells))
-    return [run_cell(c) for c in cells]
+    Returns (scheduled, cells, grid, kernel): (p, h) per size, the
+    (n, replication, seed) cells, the evaluation grid and the kernel.
+    """
+    sched = config.schedule
+    for name, ours, theirs in (("d", sched.d, model.dimension), ("eta_g", sched.eta_g, model.eta_g)):
+        if ours != theirs:
+            raise ScheduleError(f"schedule has {name} = {ours} but the model has {name} = {theirs}")
+    scheduled = {n: schedule(n, sched) for n in config.sizes}
+    cells = [
+        (n, rep, cell_seed(config.base_seed, i, rep, config.replications))
+        for i, n in enumerate(config.sizes)
+        for rep in range(config.replications)
+    ]
+    grid = evaluation_grid(model.omega, model.dimension, per_axis)
+    kernel = KernelSpec(profile=config.kernel_profile, dimension=model.dimension)
+    return scheduled, cells, grid, kernel
 
 
 def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tuple[dict, dict]:
@@ -101,9 +104,7 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    scheduled, cells = _study_cells(model, config)
-    grid = evaluation_grid(model.omega, model.dimension, config.grid_per_axis)
-    kernel = KernelSpec(profile=config.kernel_profile, dimension=model.dimension)
+    scheduled, cells, grid, kernel = _study_setup(model, config, config.grid_per_axis)
 
     def run_cell(cell):
         n, rep, seed = cell
@@ -128,7 +129,9 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
         }
         return result, elapsed
 
-    outcomes = _map_cells(run_cell, cells, workers)
+    # a pool of one when workers == 1; map yields in cell order and cancels queued cells on error
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(run_cell, cells))
     results = [r for r, _ in outcomes]
     timings = [{"n": r["n"], "replication": r["replication"], "wall_time_s": t} for r, t in outcomes]
 
@@ -142,15 +145,7 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
             "base_seed": config.base_seed,
             "a": config.a,
             "kernel": config.kernel_profile,
-            "schedule": {
-                "c1": config.schedule.c1,
-                "c2": config.schedule.c2,
-                "k1": config.schedule.k1,
-                "k2": config.schedule.k2,
-                "d": config.schedule.d,
-                "eta_g": config.schedule.eta_g,
-                "alpha_bar": config.schedule.alpha_bar,
-            },
+            "schedule": asdict(config.schedule),
         },
         "cells": results,
         "aggregate": _aggregate(model, config, scheduled, results),
@@ -216,18 +211,11 @@ def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
     Reuses the same per-cell seeds as ``run_study`` under the same config,
     so the underlying samples are shared between the two studies.
     """
-    scheduled, cells = _study_cells(model, config)
-    grid = evaluation_grid(model.omega, model.dimension, _CONCENTRATION_GRID)
-    kernel = KernelSpec(profile=config.kernel_profile, dimension=model.dimension)
-
-    log_truth: dict[int, np.ndarray] = {}
-    log_g: dict[int, np.ndarray] = {}
-    for n in config.sizes:
-        p, h = scheduled[n]
-        log_truth[n] = np.array(
-            [math.log(smoothed_moment(model, grid[i], p, h, kernel)) for i in range(grid.shape[0])]
-        )
-        log_g[n] = np.log(model.g.values(grid))
+    scheduled, cells, grid, kernel = _study_setup(model, config, _CONCENTRATION_GRID)
+    log_g = np.log(model.g.values(grid))
+    log_truth = {
+        n: np.array([math.log(smoothed_moment(model, x, *scheduled[n], kernel)) for x in grid]) for n in config.sizes
+    }
 
     def run_cell(cell):
         n, rep, seed = cell
@@ -239,7 +227,7 @@ def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
             if moment.mantissa <= 0.0:
                 deviation = 1.0  # an empty window estimates the moment as zero
             else:
-                log_ratio = moment.log_value - p * log_g[n][i] - log_truth[n][i]
+                log_ratio = moment.log_value - p * log_g[i] - log_truth[n][i]
                 deviation = abs(math.exp(log_ratio) - 1.0)
             worst = max(worst, deviation)
         return {"n": n, "replication": rep, "seed": seed, "p": p, "h": h, "max_deviation": worst}
@@ -315,12 +303,8 @@ def write_estimates(records, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_columns(d, "g_hat", "effective_count", "raw_inverse"))
-        for r in records:
-            row = [repr(v) for v in r.x]
-            row.append(repr(r.g_hat) if r.g_hat is not None else "")
-            row.append(str(r.effective_count))
-            row.append(repr(r.raw_inverse) if r.raw_inverse is not None else "")
-            writer.writerow(row)
+        # csv writes a float as its repr, an int with str and None as an empty field
+        writer.writerows([*r.x, r.g_hat, r.effective_count, r.raw_inverse] for r in records)
 
 
 def dump_json(payload: dict, path) -> None:

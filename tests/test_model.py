@@ -77,6 +77,10 @@ class TestScalarField:
         ):
             assert ScalarField.from_dict(f.to_dict(), f.dimension) == f
 
+    def test_scalar_frequency_accepted_in_one_dimension(self):
+        spec = {"kind": "sinusoid", "a": 1.0, "b": 0.5, "c": 1.0}
+        assert ScalarField.from_dict(spec, 1) == ScalarField.sinusoid(1.0, 0.5, [1.0])
+
 
 class TestMarginalDensity:
     def test_linear_requires_moderate_slope(self):

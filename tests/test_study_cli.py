@@ -8,17 +8,22 @@ import pytest
 
 from frontier_moments import (
     CovariateDensity,
+    EstimateRecord,
     FrontierModel,
     RateSchedule,
     Sample,
     ScalarField,
+    ScheduleError,
     StudyConfig,
     cell_seed,
+    moment_concentration,
     read_dataset,
     run_study,
     sample,
     write_dataset,
+    write_estimates,
 )
+from frontier_moments import study as study_module
 from frontier_moments.cli import main
 from frontier_moments.study import DatasetFormatError
 
@@ -106,6 +111,29 @@ class TestDatasetFiles:
         assert lines[0] == ",".join([f"x_{k + 1}" for k in range(d)] + ["y"])
         assert lines[1:] == [",".join(repr(c[i]) for c in columns + [values]) for i in range(len(values))]
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_estimates_written_exactly(self, tmp_path, d):
+        # successful rows, nonpositive inverses (g_hat empty) and an empty window (both empty)
+        rows = [
+            ((5e-324, 1e308), 1.0 / 3.0, 7, 3.0),
+            ((1.0 / 3.0, 5e-324), 1e308, 12, 1e-308),
+            ((1e308, 0.5), None, 4, -0.25),
+            ((1.0 - 2.0**-53, 1.0 / 3.0), None, 3, -0.0),
+            ((0.5, 1.0 - 2.0**-53), None, 0, None),
+        ]
+        records = [EstimateRecord(x=x[:d], g_hat=g, effective_count=c, raw_inverse=r) for x, g, c, r in rows]
+        path = tmp_path / "est.csv"
+        write_estimates(records, path)
+        xs = {
+            1: ["5e-324", "0.3333333333333333", "1e+308", "0.9999999999999999", "0.5"],
+            2: ["5e-324,1e+308", "0.3333333333333333,5e-324", "1e+308,0.5",
+                "0.9999999999999999,0.3333333333333333", "0.5,0.9999999999999999"],
+        }[d]
+        tails = ["0.3333333333333333,7,3.0", "1e+308,12,1e-308", ",4,-0.25", ",3,-0.0", ",0,"]
+        header = ",".join([f"x_{k + 1}" for k in range(d)] + ["g_hat", "effective_count", "raw_inverse"])
+        lines = [header] + [f"{x},{tail}" for x, tail in zip(xs, tails)]
+        assert path.read_bytes().decode("utf-8") == "".join(line + "\r\n" for line in lines)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n0.5,1.0\n")
@@ -163,6 +191,39 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             small_study_config(replications=0)
 
+    @pytest.mark.parametrize("study", [run_study, moment_concentration])
+    @pytest.mark.parametrize(
+        "model, sched, named",
+        [
+            # a d = 1 schedule on a d = 2 model
+            (
+                FrontierModel(
+                    g=ScalarField.constant(1.0, 2), alpha=ScalarField.constant(1.0, 2),
+                    beta=ScalarField.constant(1.0, 2), C=ScalarField.constant(1.0, 2),
+                    D0=ScalarField.constant(0.0, 2), f=CovariateDensity.uniform(2), dimension=2,
+                ),
+                RateSchedule.optimal(d=1, eta_g=1.0, alpha_bar=1.0),
+                ("d = 1", "d = 2"),
+            ),
+            # passes the bias check with eta_g = 2, fails it with the model's eta_g = 1
+            (
+                canonical_model(),
+                RateSchedule(c1=0.4, c2=0.2, d=1, eta_g=2.0, alpha_bar=1.0),
+                ("eta_g = 2.0", "eta_g = 1.0"),
+            ),
+        ],
+        ids=["dimension", "eta_g"],
+    )
+    def test_schedule_for_another_model_rejected(self, monkeypatch, study, model, sched, named):
+        def no_cells(*args):
+            raise AssertionError("a cell ran before the schedule was checked")
+
+        monkeypatch.setattr(study_module, "sample", no_cells)
+        with pytest.raises(ScheduleError) as err:
+            study(model, small_study_config(schedule=sched))
+        for text in named:
+            assert text in str(err.value)
+
 
 class TestSimulateCommand:
     def test_deterministic_output(self, model_file, tmp_path):
@@ -188,9 +249,23 @@ class TestSimulateCommand:
             ({**FLAT_SPEC, "omega": 0.5}, "'omega'"),
             ({**FLAT_SPEC, "omega": ["a", "b"]}, "'omega'"),
             ([FLAT_SPEC], "JSON object"),
+            ({**FLAT_SPEC, "dimension": None}, "'dimension'"),
+            ({**FLAT_SPEC, "f": 5}, "'f'"),
+            ({**FLAT_SPEC, "f": [3]}, "'f'"),
+            ({**FLAT_SPEC, "f": {"kind": "uniform"}}, "'f'"),
+            ({**FLAT_SPEC, "f": [{"kind": "linear", "slope": None}]}, "'f'"),
+            ({**FLAT_SPEC, "g": {"kind": "constant", "a": None}}, "'g'"),
+            ({**FLAT_SPEC, "g": {"kind": "affine", "a": 1.0, "b": None}}, "'g'"),
+            ({**FLAT_SPEC, "eta_g": None}, "'eta_g'"),
+            ({**FLAT_SPEC, "eta_alpha": [1]}, "'eta_alpha'"),
+            ({**FLAT_SPEC, "alpha": {"kind": "constant", "a": "1.0x"}}, "'alpha'"),
+            ({**FLAT_SPEC, "g": {"kind": "affine", "a": 1.0, "b": [0.1, "x"]}}, "'g'"),
+            ({**FLAT_SPEC, "g": {"kind": "affine", "a": 1.0, "b": [[0.1]]}}, "'g'"),
         ],
         ids=["field-without-a", "field-not-object", "field-without-kind", "omega-one-number",
-             "omega-scalar", "omega-strings", "top-level-list"],
+             "omega-scalar", "omega-strings", "top-level-list", "dimension-null", "f-number",
+             "f-list-of-number", "f-object", "f-slope-null", "field-a-null", "affine-b-null",
+             "eta-g-null", "eta-alpha-list", "field-a-text", "affine-b-text", "affine-b-nested"],
     )
     def test_malformed_model_exits_2_naming_field(self, model_file, tmp_path, capsys, spec, named):
         model = model_file(spec)
@@ -330,10 +405,14 @@ class TestMcStudyCommand:
         out = tmp_path / "r.json"
         assert main([
             "mc-study", "--model", model, "--sizes", "400,900", "--reps", "2",
-            "--seed", "3", "--grid", "15", "--out", str(out),
+            "--seed", "3", "--grid", "15", "--c1", "0.25", "--k1", "0.7", "--k2", "0.9", "--out", str(out),
         ]) == 0
         report = json.loads(out.read_text())
         assert report["schema"].startswith("frontier-moments/mc-study/")
+        # c2 and alpha_bar are the model's defaults: optimal c2 and the grid max of alpha
+        assert report["config"]["schedule"] == {
+            "c1": 0.25, "c2": 0.5, "k1": 0.7, "k2": 0.9, "d": 1, "eta_g": 1.0, "alpha_bar": 1.0,
+        }
         agg = report["aggregate"]
         for key in ("sizes", "median_sup_error", "w", "w_times_median_sup_error",
                     "log_log_slope", "log_log_residual", "bias_terms"):
@@ -362,6 +441,13 @@ class TestOracleCheckCommand:
         assert main(["oracle-check", "--model", model, "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert len(report["checks"]["ratio_expansion"]["scaled_gaps"]) == 3
+
+    def test_three_dimensional_model_exits_2(self, model_file, tmp_path, capsys):
+        model = model_file({**FLAT_SPEC, "dimension": 3})
+        out = tmp_path / "oracle.json"
+        assert main(["oracle-check", "--model", model, "--out", str(out)]) == 2
+        assert "d <= 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_exits_1(self, tmp_path):
         assert main(["oracle-check", "--model", str(tmp_path / "none.json"), "--out", str(tmp_path / "o.json")]) == 1
