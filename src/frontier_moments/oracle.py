@@ -130,6 +130,13 @@ _BALL_RULES = {
 _GRADING_LEVELS = 30
 
 
+def _ball_rule(d: int):
+    """(nodes, weights) of the tensor rule on [-1, 1]^d, or NotImplementedError beyond d = 2."""
+    if d not in _BALL_RULES:
+        raise NotImplementedError("smoothed-moment quadrature supports d <= 2")
+    return _BALL_RULES[d]
+
+
 def _graded_panels(upper: float) -> list[tuple[float, float]]:
     """Dyadically graded partition of [0, upper], refined toward both ends."""
     mid = 0.5 * upper
@@ -179,9 +186,7 @@ def smoothed_moment(model: FrontierModel, x, p: float, h: float, kernel: KernelS
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x - h < SUPPORT[0] - 1e-12) or np.any(x + h > SUPPORT[1] + 1e-12):
         raise ValueError("kernel ball exits the covariate support")
-    if model.dimension not in _BALL_RULES:
-        raise NotImplementedError("smoothed-moment quadrature supports d <= 2")
-    u, weights = _BALL_RULES[model.dimension]
+    u, weights = _ball_rule(model.dimension)
     pts = x - h * u
     kv = kernel.density(u)
     fv = model.f.pdf(pts)
@@ -233,6 +238,7 @@ LOG_GAMMA_RATIO_BOUND = 1.0 / 12.0
 
 def oracle_report(model: FrontierModel) -> dict:
     """Run the oracle invariants with the Epanechnikov kernel; failures are content, not errors."""
+    _ball_rule(model.dimension)  # the smoothed-moment checks need it: fail before any quadrature
     kernel = KernelSpec(dimension=model.dimension)
     xs = evaluation_grid(model.omega, model.dimension, 5 if model.dimension == 1 else 3)
     report: dict = {"checks": {}}

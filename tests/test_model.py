@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,10 @@ from frontier_moments import (
     survival_values,
     validate,
 )
-from frontier_moments.model import _quantile_batch
+from frontier_moments import model as model_module
+from frontier_moments.model import _quantile_batch, _tail_fields, _tail_survival
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def conditional_normalized_sample(model: FrontierModel, x, n: int, seed: int) -> np.ndarray:
@@ -169,6 +173,117 @@ class TestQuantile:
         )
         with pytest.raises(ModelError):
             quantile(m, [0.3], 0.5)
+
+
+def bisection_quantile(model: FrontierModel, xs, us) -> np.ndarray:
+    """Reference: 100 bisection steps on y in [0, 1], the sampler's former inversion."""
+    fields = _tail_fields(model, xs)
+    lo, hi = np.zeros_like(us), np.ones_like(us)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        right = _tail_survival(fields, 1.0 - mid) >= us
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# u = 1 gives y = 0; 1 - 2^-53 is the largest level sampling uses, where the plain
+# 1 - u^(1/3) rounds to 0; and the smallest positive doubles
+EDGE_LEVELS = np.array([1.0, 1.0 - 2.0**-53, 0.5, 2.0**-53, 1e-300, 5e-324])
+
+
+def draws_with_edges(model: FrontierModel, n: int, seed: int):
+    """(xs, us): n sampling-style draws, then EDGE_LEVELS at the centre of the support."""
+    rng = np.random.default_rng(seed)
+    d = model.dimension
+    xs = np.concatenate([model.f.ppf(rng.random((n, d))), np.full((EDGE_LEVELS.size, d), 0.5)])
+    us = np.concatenate([np.minimum(1.0 - rng.random(n), 1.0 - 2.0**-53), EDGE_LEVELS])
+    return xs, us
+
+
+ONE_TERM_MODELS = {
+    "alpha-3": make_model(alpha=ScalarField.constant(3.0)),
+    "fractional-alpha": make_model(alpha=ScalarField.affine(1.3, 0.4)),
+    "C-zero": make_model(beta=ScalarField.constant(0.5), C=ScalarField.constant(0.0), D0=ScalarField.constant(1.0)),
+}
+
+REFERENCE_MODELS = {
+    "canonical": load_model(ROOT / "models" / "canonical.json"),
+    "two-term-tail": load_model(ROOT / "models" / "two_term_tail.json"),
+    "plane-2d": load_model(ROOT / "benchmarks" / "models" / "plane_2d.json"),
+    "fractional-alpha-two-term": make_model(
+        alpha=ScalarField.affine(1.3, 0.4),
+        beta=ScalarField.constant(0.5),
+        C=ScalarField.constant(0.6),
+        D0=ScalarField.constant(0.4),
+    ),
+    "negative-D0": make_model(
+        alpha=ScalarField.constant(2.0),
+        C=ScalarField.constant(1.2),
+        D0=ScalarField.constant(-0.2),
+    ),
+    "C-zero": ONE_TERM_MODELS["C-zero"],
+}
+
+
+class TestQuantileInversion:
+    @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
+    def test_matches_bisection_reference(self, model):
+        for seed in (31, 32):
+            xs, us = draws_with_edges(model, 10000, seed)
+            got = _quantile_batch(model, xs, us)
+            assert np.max(np.abs(got - bisection_quantile(model, xs, us))) <= 1e-15
+            assert np.all(got[us < 1.0] > 0.0) and np.all(got <= 1.0)
+        assert quantile(model, np.full(model.dimension, 0.5), 1.0) == 0.0
+
+    @pytest.mark.parametrize("model", ONE_TERM_MODELS.values(), ids=ONE_TERM_MODELS.keys())
+    def test_one_term_rows_are_closed_form(self, model):
+        # with one term left, -expm1(log u / exponent) is the answer to the last bit
+        xs, us = draws_with_edges(model, 10000, seed=33)
+        exponent = model.alpha.values(xs) + (model.beta.values(xs) if model.C.a == 0.0 else 0.0)
+        got = _quantile_batch(model, xs, us)
+        assert np.array_equal(got, -np.expm1(np.log(us) / exponent))
+        assert np.all(got[us < 1.0] > 0.0)
+
+    @pytest.mark.parametrize("name", ["two-term-tail", "plane-2d"])
+    def test_shipped_two_term_models_never_bisect(self, monkeypatch, name):
+        def no_bisection(*args):
+            raise AssertionError("a row fell back to bisection")
+
+        monkeypatch.setattr(model_module, "_bisect", no_bisection)
+        model = REFERENCE_MODELS[name]
+        for seed in (1, 2, 3):
+            sample(model, 20000, seed)
+        _quantile_batch(model, *draws_with_edges(model, 1000, seed=34))
+
+    def test_bracket_fallback_matches_newton(self, monkeypatch):
+        # with no Newton step allowed, every row is finished by bisection on its bracket
+        model = REFERENCE_MODELS["negative-D0"]
+        xs, us = draws_with_edges(model, 2000, seed=35)
+        newton = _quantile_batch(model, xs, us)
+        monkeypatch.setattr(model_module, "_NEWTON_STEPS", 0)
+        assert np.max(np.abs(_quantile_batch(model, xs, us) - newton)) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(C=ScalarField.constant(1.5), D0=ScalarField.constant(-0.5), beta=ScalarField.constant(2.1)),
+            dict(alpha=ScalarField.affine(0.2, -0.4)),
+            dict(C=ScalarField.constant(0.5), D0=ScalarField.constant(0.5), beta=ScalarField.constant(0.0)),
+        ],
+        ids=["rises-near-zero", "alpha-not-positive", "beta-zero-two-term"],
+    )
+    def test_non_monotone_survival_rejected_at_any_level(self, fields):
+        # the first model rises only over y < 0.02, far from the root at u = 0.5
+        with pytest.raises(ModelError, match="non-monotone"):
+            quantile(make_model(**fields), [0.7], 0.5)
+
+    def test_flat_start_is_accepted(self):
+        # C alpha + D0 (alpha + beta) = 0: S is flat at y = 0 and decreasing after it
+        model = make_model(C=ScalarField.constant(1.5), D0=ScalarField.constant(-0.5), beta=ScalarField.constant(2.0))
+        assert quantile(model, [0.5], 1.0) == 0.0
+        y = quantile(model, [0.5], 0.5)
+        assert survival(model, [0.5], y) == pytest.approx(0.5, abs=1e-15)
 
 
 class TestValidate:

@@ -23,6 +23,7 @@ from frontier_moments import (
     write_dataset,
     write_estimates,
 )
+from frontier_moments import oracle as oracle_module
 from frontier_moments import study as study_module
 from frontier_moments.cli import main
 from frontier_moments.study import DatasetFormatError
@@ -250,6 +251,7 @@ class TestSimulateCommand:
             ({**FLAT_SPEC, "omega": ["a", "b"]}, "'omega'"),
             ([FLAT_SPEC], "JSON object"),
             ({**FLAT_SPEC, "dimension": None}, "'dimension'"),
+            ({**FLAT_SPEC, "dimension": 1.7}, "'dimension'"),
             ({**FLAT_SPEC, "f": 5}, "'f'"),
             ({**FLAT_SPEC, "f": [3]}, "'f'"),
             ({**FLAT_SPEC, "f": {"kind": "uniform"}}, "'f'"),
@@ -263,8 +265,8 @@ class TestSimulateCommand:
             ({**FLAT_SPEC, "g": {"kind": "affine", "a": 1.0, "b": [[0.1]]}}, "'g'"),
         ],
         ids=["field-without-a", "field-not-object", "field-without-kind", "omega-one-number",
-             "omega-scalar", "omega-strings", "top-level-list", "dimension-null", "f-number",
-             "f-list-of-number", "f-object", "f-slope-null", "field-a-null", "affine-b-null",
+             "omega-scalar", "omega-strings", "top-level-list", "dimension-null", "dimension-fractional",
+             "f-number", "f-list-of-number", "f-object", "f-slope-null", "field-a-null", "affine-b-null",
              "eta-g-null", "eta-alpha-list", "field-a-text", "affine-b-text", "affine-b-nested"],
     )
     def test_malformed_model_exits_2_naming_field(self, model_file, tmp_path, capsys, spec, named):
@@ -442,7 +444,12 @@ class TestOracleCheckCommand:
         report = json.loads(out.read_text())
         assert len(report["checks"]["ratio_expansion"]["scaled_gaps"]) == 3
 
-    def test_three_dimensional_model_exits_2(self, model_file, tmp_path, capsys):
+    def test_three_dimensional_model_exits_2(self, model_file, tmp_path, capsys, monkeypatch):
+        def no_quadrature(*args):
+            raise AssertionError("quadrature ran before the dimension check")
+
+        monkeypatch.setattr(oracle_module, "moment_brute", no_quadrature)
+        monkeypatch.setattr(oracle_module, "moment_decomposition", no_quadrature)
         model = model_file({**FLAT_SPEC, "dimension": 3})
         out = tmp_path / "oracle.json"
         assert main(["oracle-check", "--model", model, "--out", str(out)]) == 2
