@@ -93,10 +93,10 @@ class MomentDecomposition:
         return self.main + self.error
 
 
-def _moment_rel_batch(model: FrontierModel, xs: np.ndarray, p: float) -> np.ndarray:
-    """m_p / g^p on a batch of points, through the Beta closed form."""
-    al, be, cc, dd = _tail_fields(model, xs)
-    return p * (cc * np.exp(log_beta(p, al + 1.0)) + dd * np.exp(log_beta(p, al + be + 1.0)))
+def _moment_parts(fields, p: float):
+    """(main, error) parts of m_p / g^p through the Beta closed form, from scalar or batched tail fields."""
+    al, be, cc, dd = fields
+    return cc * p * np.exp(log_beta(p, al + 1.0)), dd * p * np.exp(log_beta(p, al + be + 1.0))
 
 
 def moment_decomposition(model: FrontierModel, x, p: float) -> MomentDecomposition:
@@ -104,10 +104,8 @@ def moment_decomposition(model: FrontierModel, x, p: float) -> MomentDecompositi
     if not p > 0:
         raise ValueError("moment power p must be positive")
     xs = np.atleast_2d(np.asarray(x, dtype=float))
-    al, be, cc, dd = (float(v[0]) for v in _tail_fields(model, xs))
-    main = cc * p * math.exp(log_beta(p, al + 1.0))
-    error = dd * p * math.exp(log_beta(p, al + be + 1.0))
-    return MomentDecomposition(main=main, error=error)
+    main, error = _moment_parts(tuple(float(v[0]) for v in _tail_fields(model, xs)), p)
+    return MomentDecomposition(main=float(main), error=float(error))
 
 
 def moment_ratio_exact(model: FrontierModel, x, p: float) -> float:
@@ -191,8 +189,8 @@ def smoothed_moment(model: FrontierModel, x, p: float, h: float, kernel: KernelS
     kv = kernel.density(u)
     fv = model.f.pdf(pts)
     log_g_ratio = np.log(model.g.values(pts)) - math.log(model.g(x))
-    mrel = _moment_rel_batch(model, pts, p)
-    return float(np.sum(weights * kv * fv * np.exp(p * log_g_ratio) * mrel))
+    main, error = _moment_parts(_tail_fields(model, pts), p)
+    return float(np.sum(weights * kv * fv * np.exp(p * log_g_ratio) * (main + error)))
 
 
 def smoothed_ratio(model: FrontierModel, x, p: float, h: float, kernel: KernelSpec) -> float:

@@ -105,6 +105,7 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     scheduled, cells, grid, kernel = _study_setup(model, config, config.grid_per_axis)
+    w_by_size = {n: w_rate(n, *scheduled[n], config.schedule.alpha_bar, model.dimension) for n in config.sizes}
 
     def run_cell(cell):
         n, rep, seed = cell
@@ -123,7 +124,7 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
             "seed": seed,
             "p": p,
             "h": h,
-            "w": w_rate(n, p, h, config.schedule.alpha_bar, model.dimension),
+            "w": w_by_size[n],
             "sup_error": sup,
             "failures": failures,
         }
@@ -148,7 +149,7 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
             "schedule": asdict(config.schedule),
         },
         "cells": results,
-        "aggregate": _aggregate(model, config, scheduled, results),
+        "aggregate": _aggregate(model, config, scheduled, w_by_size, results),
     }
     timing = {
         "cells": timings,
@@ -157,7 +158,7 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
     return report, timing
 
 
-def _aggregate(model, config, scheduled, results) -> dict:
+def _aggregate(model, config, scheduled, w_by_size, results) -> dict:
     beta_min = field_range(model.beta)[0]
     medians: list[float | None] = []
     degenerate = 0
@@ -165,7 +166,7 @@ def _aggregate(model, config, scheduled, results) -> dict:
         sups = [r["sup_error"] for r in results if r["n"] == n and r["sup_error"] is not None]
         degenerate += sum(1 for r in results if r["n"] == n and r["sup_error"] is None)
         medians.append(float(np.median(sups)) if sups else None)
-    ws = [w_rate(n, *scheduled[n], config.schedule.alpha_bar, model.dimension) for n in config.sizes]
+    ws = [w_by_size[n] for n in config.sizes]
 
     slope = None
     residual = None

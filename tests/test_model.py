@@ -225,6 +225,15 @@ REFERENCE_MODELS = {
     "C-zero": ONE_TERM_MODELS["C-zero"],
 }
 
+# constant tail fields with alpha > 0 and beta > 0; the last two rise somewhere in y
+MONOTONE_CORPUS = {
+    "canonical": CANONICAL,
+    "two-term": make_model(C=ScalarField.constant(0.75), D0=ScalarField.constant(0.25)),
+    "flat-start": make_model(C=ScalarField.constant(1.5), D0=ScalarField.constant(-0.5), beta=ScalarField.constant(2.0)),
+    "C3-D0-minus-2": make_model(C=ScalarField.constant(3.0), D0=ScalarField.constant(-2.0)),
+    "rises-near-zero": make_model(C=ScalarField.constant(1.5), D0=ScalarField.constant(-0.5), beta=ScalarField.constant(2.01)),
+}
+
 
 class TestQuantileInversion:
     @pytest.mark.parametrize("model", REFERENCE_MODELS.values(), ids=REFERENCE_MODELS.keys())
@@ -309,9 +318,32 @@ class TestValidate:
         assert report.ok
 
     def test_nonmonotone_detected(self):
-        m = make_model(C=ScalarField.constant(3.0), D0=ScalarField.constant(-2.0))
-        failed = {c.name for c in validate(m).failures}
-        assert "survival_nonincreasing" in failed
+        for m in (MONOTONE_CORPUS["C3-D0-minus-2"], MONOTONE_CORPUS["rises-near-zero"]):
+            failed = {c.name for c in validate(m).failures}
+            assert "survival_nonincreasing" in failed
+
+    def test_survival_check_reports_the_exact_margin(self):
+        # worst value min(C alpha, C alpha + D0 (alpha + beta)) over the grid, at a point with no y coordinate
+        m = make_model(
+            alpha=ScalarField.affine(1.0, -0.5),
+            beta=ScalarField.constant(2.5),
+            C=ScalarField.constant(1.5),
+            D0=ScalarField.constant(-0.5),
+        )
+        check = next(c for c in validate(m).checks if c.name == "survival_nonincreasing")
+        assert not check.passed
+        assert check.worst_value == pytest.approx(1.5 * 0.5 - 0.5 * (0.5 + 2.5))  # at x = 1, alpha = 0.5
+        assert check.worst_point == (1.0,) and type(check.worst_point[0]) is float
+
+    @pytest.mark.parametrize("model", MONOTONE_CORPUS.values(), ids=MONOTONE_CORPUS.keys())
+    def test_survival_verdict_matches_dense_levels(self, model):
+        # the fields are constant, so one covariate value shows the survival everywhere
+        t = np.geomspace(1e-12, 0.5, 4000)
+        ys = np.unique(np.concatenate([[0.0], t, 1.0 - t, [1.0]]))
+        s = survival_values(model, np.full((ys.size, 1), 0.5), ys)
+        rise = np.max(s[1:] - np.minimum.accumulate(s)[:-1])
+        check = next(c for c in validate(model).checks if c.name == "survival_nonincreasing")
+        assert check.passed == (rise <= 1e-12)
 
     def test_negative_field_detected(self):
         m = make_model(g=ScalarField.affine(0.1, -0.2))

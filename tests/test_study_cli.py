@@ -51,6 +51,16 @@ BROKEN_SPEC = {
     "D0": {"kind": "constant", "a": 0.3},
 }
 
+# S exceeds 1 for y below about 0.003: C alpha + D0 (alpha + beta) = -0.005
+RISING_SPEC = {
+    "dimension": 1,
+    "g": {"kind": "constant", "a": 1.0},
+    "alpha": {"kind": "constant", "a": 1.0},
+    "beta": {"kind": "constant", "a": 2.01},
+    "C": {"kind": "constant", "a": 1.5},
+    "D0": {"kind": "constant", "a": -0.5},
+}
+
 
 @pytest.fixture
 def model_file(tmp_path):
@@ -238,7 +248,9 @@ class TestSimulateCommand:
         model = model_file(BROKEN_SPEC)
         code = main(["simulate", "--model", model, "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "C_plus_D0_equals_one" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "C_plus_D0_equals_one" in err
+        assert "at (0.0,)" in err and "np.float64" not in err
 
     @pytest.mark.parametrize(
         "spec, named",
@@ -260,6 +272,8 @@ class TestSimulateCommand:
             ({**FLAT_SPEC, "g": {"kind": "affine", "a": 1.0, "b": None}}, "'g'"),
             ({**FLAT_SPEC, "eta_g": None}, "'eta_g'"),
             ({**FLAT_SPEC, "eta_alpha": [1]}, "'eta_alpha'"),
+            ({**FLAT_SPEC, "eta_alpha": float("nan")}, "'eta_alpha'"),
+            ({**FLAT_SPEC, "eta_g": -1.0}, "'eta_g'"),
             ({**FLAT_SPEC, "alpha": {"kind": "constant", "a": "1.0x"}}, "'alpha'"),
             ({**FLAT_SPEC, "g": {"kind": "affine", "a": 1.0, "b": [0.1, "x"]}}, "'g'"),
             ({**FLAT_SPEC, "g": {"kind": "affine", "a": 1.0, "b": [[0.1]]}}, "'g'"),
@@ -267,7 +281,8 @@ class TestSimulateCommand:
         ids=["field-without-a", "field-not-object", "field-without-kind", "omega-one-number",
              "omega-scalar", "omega-strings", "top-level-list", "dimension-null", "dimension-fractional",
              "f-number", "f-list-of-number", "f-object", "f-slope-null", "field-a-null", "affine-b-null",
-             "eta-g-null", "eta-alpha-list", "field-a-text", "affine-b-text", "affine-b-nested"],
+             "eta-g-null", "eta-alpha-list", "eta-alpha-nan", "eta-g-negative", "field-a-text", "affine-b-text",
+             "affine-b-nested"],
     )
     def test_malformed_model_exits_2_naming_field(self, model_file, tmp_path, capsys, spec, named):
         model = model_file(spec)
@@ -458,6 +473,23 @@ class TestOracleCheckCommand:
 
     def test_missing_model_exits_1(self, tmp_path):
         assert main(["oracle-check", "--model", str(tmp_path / "none.json"), "--out", str(tmp_path / "o.json")]) == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["simulate", "--n", "10"],
+        ["mc-study", "--sizes", "400,900", "--reps", "1", "--grid", "5"],
+        ["oracle-check"],
+    ],
+    ids=["simulate", "mc-study", "oracle-check"],
+)
+def test_rising_survival_exits_2_naming_invariant(model_file, tmp_path, capsys, command):
+    model = model_file(RISING_SPEC)
+    out = tmp_path / "out"
+    assert main([command[0], "--model", model, *command[1:], "--out", str(out)]) == 2
+    assert "survival_nonincreasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_entry_point_runs():
