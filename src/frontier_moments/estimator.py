@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .model import Sample, ScalarField
-from .moments import InsufficientLocalDataError, moment_ratio_pair
+from .moments import InsufficientLocalDataError, moment_ratio_pair, window_rows
 
 
 class ScheduleError(ValueError):
@@ -67,11 +67,14 @@ class EstimateRecord:
         return self.g_hat is not None
 
 
-def estimate_at(sample: Sample, x, config: EstimatorConfig) -> EstimateRecord:
-    """Frontier estimate at a single point; failures are flags, not exceptions."""
+def estimate_at(sample: Sample, x, config: EstimatorConfig, *, _rows=None) -> EstimateRecord:
+    """Frontier estimate at a single point; failures are flags, not exceptions.
+
+    ``_rows`` is the candidate rows ``window_rows`` gives for x; None scans every point.
+    """
     point = tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
     try:
-        high, low, count = moment_ratio_pair(sample, x, config.p, config.a, config.h, config.kernel)
+        high, low, count = moment_ratio_pair(sample, x, config.p, config.a, config.h, config.kernel, _rows=_rows)
     except InsufficientLocalDataError as err:
         return EstimateRecord(x=point, g_hat=None, effective_count=err.count, raw_inverse=None)
     p, a = config.p, config.a
@@ -81,9 +84,14 @@ def estimate_at(sample: Sample, x, config: EstimatorConfig) -> EstimateRecord:
 
 
 def estimate_grid(sample: Sample, grid, config: EstimatorConfig) -> list[EstimateRecord]:
-    """estimate_at mapped over the grid rows, in deterministic order."""
+    """estimate_at mapped over the grid rows, in deterministic order.
+
+    Each point scans only the candidate rows of its window (``window_rows``),
+    so every record equals the one a scan of the whole sample gives.
+    """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    return [estimate_at(sample, grid[i], config) for i in range(grid.shape[0])]
+    windows = window_rows(sample, grid, config.h)
+    return [estimate_at(sample, grid[i], config, _rows=rows) for i, rows in enumerate(windows)]
 
 
 def sup_error(estimates: list[EstimateRecord], truth: ScalarField) -> tuple[float, int]:

@@ -12,8 +12,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import multiprocessing
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -31,7 +33,7 @@ from .estimator import (
 )
 from .kernels import KernelSpec
 from .model import FrontierModel, Sample, evaluation_grid, field_range, model_to_dict, sample
-from .moments import scaled_moment
+from .moments import scaled_moment, window_rows
 from .oracle import smoothed_moment
 
 REPORT_SCHEMA = "frontier-moments/mc-study/1"
@@ -97,42 +99,60 @@ def _study_setup(model: FrontierModel, config: StudyConfig, per_axis: int):
     return scheduled, cells, grid, kernel
 
 
+def run_cell(model: FrontierModel, grid, config: EstimatorConfig, w: float, cell) -> tuple[dict, float]:
+    """One study cell: draw its sample, estimate on the grid, take the sup-error.
+
+    ``cell`` is (n, replication, seed); returns (report row, wall seconds).
+    Every input is an argument, so a worker process can run it.
+    """
+    n, rep, seed = cell
+    start = time.perf_counter()
+    smpl = sample(model, n, seed)
+    records = estimate_grid(smpl, grid, config)
+    try:
+        sup, failures = sup_error(records, model.g)
+    except DegenerateGridError:
+        sup, failures = None, len(records)
+    elapsed = time.perf_counter() - start
+    result = {
+        "n": n,
+        "replication": rep,
+        "seed": seed,
+        "p": config.p,
+        "h": config.h,
+        "w": w,
+        "sup_error": sup,
+        "failures": failures,
+    }
+    return result, elapsed
+
+
+def _ignore_interrupt() -> None:
+    # Ctrl-C reaches the whole process group; only the parent acts on it
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tuple[dict, dict]:
     """Run the full study; returns (report, timing) dictionaries.
 
-    The report is independent of ``workers``; only the timing dict varies.
+    With ``workers`` > 1 the cells run in that many forked processes.  The
+    report is independent of ``workers``; only the timing dict varies.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     scheduled, cells, grid, kernel = _study_setup(model, config, config.grid_per_axis)
     w_by_size = {n: w_rate(n, *scheduled[n], config.schedule.alpha_bar, model.dimension) for n in config.sizes}
+    estimators = {n: EstimatorConfig(p=p, h=h, kernel=kernel, a=config.a) for n, (p, h) in scheduled.items()}
+    tasks = [(model, grid, estimators[n], w_by_size[n], (n, rep, seed)) for n, rep, seed in cells]
 
-    def run_cell(cell):
-        n, rep, seed = cell
-        p, h = scheduled[n]
-        start = time.perf_counter()
-        smpl = sample(model, n, seed)
-        records = estimate_grid(smpl, grid, EstimatorConfig(p=p, h=h, kernel=kernel, a=config.a))
-        try:
-            sup, failures = sup_error(records, model.g)
-        except DegenerateGridError:
-            sup, failures = None, len(records)
-        elapsed = time.perf_counter() - start
-        result = {
-            "n": n,
-            "replication": rep,
-            "seed": seed,
-            "p": p,
-            "h": h,
-            "w": w_by_size[n],
-            "sup_error": sup,
-            "failures": failures,
-        }
-        return result, elapsed
-
-    # a pool of one when workers == 1; map yields in cell order and cancels queued cells on error
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(run_cell, cells))
+    if workers == 1:
+        outcomes = [run_cell(*task) for task in tasks]
+    else:
+        # fork: a worker inherits the imported package and starts at once; map yields
+        # in cell order and cancels the queued cells when one fails or on Ctrl-C
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=context, initializer=_ignore_interrupt) as pool:
+            outcomes = list(pool.map(run_cell, *zip(*tasks)))
     results = [r for r, _ in outcomes]
     timings = [{"n": r["n"], "replication": r["replication"], "wall_time_s": t} for r, t in outcomes]
 
@@ -218,13 +238,13 @@ def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
         n: np.array([math.log(smoothed_moment(model, x, *scheduled[n], kernel)) for x in grid]) for n in config.sizes
     }
 
-    def run_cell(cell):
+    def concentration_cell(cell):
         n, rep, seed = cell
         p, h = scheduled[n]
         smpl = sample(model, n, seed)
         worst = 0.0
-        for i in range(grid.shape[0]):
-            moment = scaled_moment(smpl, grid[i], p, h, kernel)
+        for i, rows in enumerate(window_rows(smpl, grid, h)):
+            moment = scaled_moment(smpl, grid[i], p, h, kernel, _rows=rows)
             if moment.mantissa <= 0.0:
                 deviation = 1.0  # an empty window estimates the moment as zero
             else:
@@ -233,7 +253,7 @@ def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
             worst = max(worst, deviation)
         return {"n": n, "replication": rep, "seed": seed, "p": p, "h": h, "max_deviation": worst}
 
-    results = [run_cell(c) for c in cells]
+    results = [concentration_cell(c) for c in cells]
 
     medians = []
     for n in config.sizes:

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +11,16 @@ from frontier_moments import (
     CovariateDensity,
     EstimateRecord,
     FrontierModel,
+    InsufficientLocalDataError,
+    ModelError,
     RateSchedule,
     Sample,
     ScalarField,
     ScheduleError,
     StudyConfig,
     cell_seed,
+    field_range,
+    load_model,
     moment_concentration,
     read_dataset,
     run_study,
@@ -27,6 +32,8 @@ from frontier_moments import oracle as oracle_module
 from frontier_moments import study as study_module
 from frontier_moments.cli import main
 from frontier_moments.study import DatasetFormatError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 CANONICAL_SPEC = {
     "dimension": 1,
@@ -234,6 +241,66 @@ class TestRunStudy:
             study(model, small_study_config(schedule=sched))
         for text in named:
             assert text in str(err.value)
+
+
+MODEL_FILES = {
+    "canonical": ROOT / "models" / "canonical.json",
+    "two_term_tail": ROOT / "models" / "two_term_tail.json",
+    "plane_2d": ROOT / "benchmarks" / "models" / "plane_2d.json",
+}
+
+CELL_ERRORS = [
+    ModelError("non-monotone survival in a cell"),
+    InsufficientLocalDataError(3, "window of 3 points carries no usable moment mass"),
+    DatasetFormatError("line 9: expected 2 columns, found 3", line=9),
+]
+
+
+def failing_sample(err):
+    def sample_in_cell(model, n, seed):
+        raise err
+
+    return sample_in_cell
+
+
+class TestWorkerProcesses:
+    @pytest.mark.parametrize("name", sorted(MODEL_FILES))
+    def test_reports_byte_identical_at_one_two_and_three_workers(self, name):
+        model = load_model(MODEL_FILES[name])
+        sched = RateSchedule.optimal(model.dimension, model.eta_g, field_range(model.alpha)[1])
+        config = StudyConfig(sizes=(400, 900), replications=2, schedule=sched, grid_per_axis=9, base_seed=5)
+        reports = []
+        for workers in (1, 2, 3):
+            report, timing = run_study(model, config, workers=workers)
+            assert [(t["n"], t["replication"]) for t in timing["cells"]] == [(c["n"], c["replication"]) for c in report["cells"]]
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
+    @pytest.mark.parametrize("err", CELL_ERRORS, ids=lambda e: type(e).__name__)
+    def test_cell_error_reaches_the_caller(self, monkeypatch, err):
+        # the forked workers inherit the patched sampler
+        monkeypatch.setattr(study_module, "sample", failing_sample(err))
+        with pytest.raises(type(err)) as caught:
+            run_study(canonical_model(), small_study_config(), workers=2)
+        assert str(caught.value) == str(err)
+        assert vars(caught.value) == vars(err)
+
+    @pytest.mark.parametrize(
+        "err, code", [(None, 0), (CELL_ERRORS[0], 2), (ValueError("responses must be finite"), 2), (CELL_ERRORS[2], 1)]
+    )
+    def test_mc_study_exit_codes(self, monkeypatch, model_file, tmp_path, capsys, err, code):
+        if err is not None:
+            monkeypatch.setattr(study_module, "sample", failing_sample(err))
+        out = tmp_path / "r.json"
+        argv = ["mc-study", "--model", model_file(CANONICAL_SPEC), "--sizes", "400,900", "--reps", "2",
+                "--grid", "9", "--workers", "2", "--out", str(out)]
+        assert main(argv) == code
+        if err is None:
+            assert len(json.loads(out.read_text())["cells"]) == 4
+        else:
+            assert str(err) in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestSimulateCommand:
@@ -503,8 +570,6 @@ def test_console_entry_point_runs():
 
 
 def test_shipped_model_files_are_valid():
-    from pathlib import Path
-
     from frontier_moments import load_model, validate
 
     models = Path(__file__).resolve().parent.parent / "models"
