@@ -15,10 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .kernels import KernelSpec
-from .model import Sample, ScalarField
+from .model import Sample, ScalarField, _points, _positive
 from .moments import InsufficientLocalDataError, moment_ratio_pair, window_rows
 
 
@@ -40,8 +38,7 @@ class EstimatorConfig:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.a > 0:
-            raise ValueError("order multiplier a must be positive")
+        _positive(a=self.a)
         if not self.p >= 1:
             raise ValueError("moment power p must be at least 1")
         if not 0.0 < self.h < 1.0:
@@ -72,7 +69,8 @@ def estimate_at(sample: Sample, x, config: EstimatorConfig, *, _rows=None) -> Es
 
     ``_rows`` is the candidate rows ``window_rows`` gives for x; None scans every point.
     """
-    point = tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
+    x = _points(x, sample.dimension, one=True)
+    point = tuple(x[0].tolist())
     try:
         high, low, count = moment_ratio_pair(sample, x, config.p, config.a, config.h, config.kernel, _rows=_rows)
     except InsufficientLocalDataError as err:
@@ -89,7 +87,7 @@ def estimate_grid(sample: Sample, grid, config: EstimatorConfig) -> list[Estimat
     Each point scans only the candidate rows of its window (``window_rows``),
     so every record equals the one a scan of the whole sample gives.
     """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    grid = _points(grid, sample.dimension)
     windows = window_rows(sample, grid, config.h)
     return [estimate_at(sample, grid[i], config, _rows=rows) for i, rows in enumerate(windows)]
 
@@ -123,8 +121,7 @@ def w_rate(n: float, p: float, h: float, alpha_bar: float, d: int) -> float:
     """Uniform convergence rate sqrt(n * p^(2 - alpha_bar) * h^d / log n)."""
     if n < 2:
         raise ValueError("rate is defined for n >= 2")
-    if not p > 0 or not h > 0:
-        raise ValueError("p and h must be positive")
+    _positive(p=p, h=h)
     return math.sqrt(n * p ** (2.0 - alpha_bar) * h**d / math.log(n))
 
 

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import _positive
+
 # polynomial degree s of (1 - ||u||^2)^s per profile
 _DEGREE = {"epanechnikov_ball": 1, "biweight_ball": 2, "uniform_ball": 0}
 PROFILES = tuple(_DEGREE)
@@ -33,8 +35,8 @@ class KernelSpec:
     """Probability density supported in the unit ball of R^dimension.
 
     ``uniform_ball`` is discontinuous at the ball boundary and therefore
-    not Lipschitz; it is kept for oracle comparisons only and should not
-    be used in estimator configurations.
+    not Lipschitz, so the paper's estimator conditions exclude it;
+    ``effective_count`` counts the points in a ball with its window test.
     """
 
     profile: str = "epanechnikov_ball"
@@ -84,8 +86,7 @@ class KernelSpec:
 
     def scaled_density(self, x, xs, h: float):
         """Rescaled kernel h^(-d) K((x - xs) / h) with bandwidth h > 0."""
-        if not h > 0:
-            raise ValueError("bandwidth h must be positive")
+        _positive(h=h)
         x = np.asarray(x, dtype=float)
         xs = np.asarray(xs, dtype=float)
         return self.density((x - xs) / h) / h**self.dimension

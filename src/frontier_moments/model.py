@@ -38,17 +38,40 @@ class ModelError(ValueError):
 
 
 def _float(value, what: str) -> float:
-    """float(value), or a ModelError naming ``what``."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ModelError(f"{what} must be a number, got {value!r}") from None
+    """float(value), or a ModelError naming ``what``; a bool is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ModelError(f"{what} must be a number, got {value!r}")
 
 
 def _floats(value, what: str) -> tuple[float, ...]:
     """A number or a list of numbers as a tuple of floats."""
     items = value if isinstance(value, (list, tuple, np.ndarray)) else (value,)
     return tuple(_float(v, what) for v in items)
+
+
+def _points(x, d: int, *, one: bool = False) -> np.ndarray:
+    """x as an (m, d) float array: a flat sequence is one point, or m points in d = 1; ``one`` wants m = 1."""
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim < 2:
+        xs = xs.reshape((-1, 1) if d == 1 else (1, -1))
+    if xs.ndim != 2 or xs.shape[1] != d or (one and xs.shape[0] != 1):
+        want = f"one point of {d} coordinate(s), shape ({d},)" if one else f"points of {d} coordinate(s), shape (m, {d})"
+        raise ValueError(f"expected {want}; got shape {np.shape(x)}")
+    return xs
+
+
+def _positive(p: float = 1.0, h: float = 1.0, a: float = 1.0) -> None:
+    """ValueError unless p, h and a are > 0 (NaN is not); an argument left out passes."""
+    if not p > 0:
+        raise ValueError("moment power p must be positive")
+    if not h > 0:
+        raise ValueError("bandwidth h must be positive")
+    if not a > 0:
+        raise ValueError("order multiplier a must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +117,7 @@ class ScalarField:
 
     def values(self, xs) -> np.ndarray:
         """Evaluate on a batch of points of shape (n, d)."""
-        xs = np.asarray(xs, dtype=float)
+        xs = _points(xs, self.dimension)
         if self.kind == "constant":
             return np.full(xs.shape[0], self.a)
         if self.kind == "affine":
@@ -102,7 +125,7 @@ class ScalarField:
         return self.a + self.b[0] * np.sin(2.0 * math.pi * (xs @ np.asarray(self.c)))
 
     def __call__(self, x) -> float:
-        return float(self.values(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+        return float(self.values(_points(x, self.dimension, one=True))[0])
 
     @classmethod
     def constant(cls, a: float, dimension: int = 1) -> "ScalarField":
@@ -192,14 +215,14 @@ class CovariateDensity:
         return cls(marginals=tuple(MarginalDensity() for _ in range(dimension)))
 
     def pdf(self, xs) -> np.ndarray:
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        xs = _points(xs, self.dimension)
         out = np.ones(xs.shape[0])
         for k, marg in enumerate(self.marginals):
             out *= marg.pdf(xs[:, k])
         return out
 
     def pdf_point(self, x) -> float:
-        return float(self.pdf(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+        return float(self.pdf(_points(x, self.dimension, one=True))[0])
 
     def ppf(self, us: np.ndarray) -> np.ndarray:
         us = np.asarray(us, dtype=float)
@@ -251,8 +274,8 @@ class FrontierModel:
             if not (math.isfinite(value) and value > 0.0):
                 raise ModelError(f"field {name!r} must be finite and positive, got {value!r}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "omega", (float(self.omega[0]), float(self.omega[1])))
-        lo, hi = self.omega
+        lo, hi = (_float(v, "field 'omega'") for v in self.omega)
+        object.__setattr__(self, "omega", (lo, hi))
         if not (SUPPORT[0] <= lo < hi <= SUPPORT[1]):
             raise ModelError("omega must be a nonempty interval inside [0, 1]")
 
@@ -298,8 +321,6 @@ def evaluation_grid(omega: tuple[float, float], dimension: int, per_axis: int) -
     if not omega[0] < omega[1]:
         raise ValueError(f"grid window needs lo < hi, got ({omega[0]}, {omega[1]})")
     axes = np.linspace(omega[0], omega[1], per_axis)
-    if dimension == 1:
-        return axes.reshape(-1, 1)
     mesh = np.meshgrid(*([axes] * dimension), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
 
@@ -322,16 +343,15 @@ def _tail_survival(fields, om):
 
 def survival_values(model: FrontierModel, xs, ys) -> np.ndarray:
     """Survival of the normalised response, elementwise over paired (xs, ys)."""
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    ys = np.asarray(ys, dtype=float)
-    return _tail_survival(_tail_fields(model, xs), 1.0 - ys)
+    xs = _points(xs, model.dimension)
+    return _tail_survival(_tail_fields(model, xs), 1.0 - np.asarray(ys, dtype=float))
 
 
 def survival(model: FrontierModel, x, y: float) -> float:
     """P(Y / g(x) > y | X = x) for y in [0, 1]."""
     if not 0.0 <= y <= 1.0:
         raise ValueError("normalised level y must lie in [0, 1]")
-    return float(survival_values(model, x, np.asarray([y]))[0])
+    return float(survival_values(model, _points(x, model.dimension, one=True), np.asarray([y]))[0])
 
 
 def _quantile_batch(model: FrontierModel, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
@@ -449,8 +469,7 @@ def quantile(model: FrontierModel, x, u: float) -> float:
     """Normalised level y with survival(x, y) = u, for u in (0, 1]."""
     if not 0.0 < u <= 1.0:
         raise ValueError("survival level u must lie in (0, 1]")
-    xs = np.atleast_2d(np.asarray(x, dtype=float))
-    return float(_quantile_batch(model, xs, np.asarray([u]))[0])
+    return float(_quantile_batch(model, _points(x, model.dimension, one=True), np.asarray([u]))[0])
 
 
 def sample(model: FrontierModel, n: int, seed: int) -> Sample:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec
-from .model import Sample
+from .model import Sample, _points, _positive
 
 
 class InsufficientLocalDataError(RuntimeError):
@@ -61,13 +61,6 @@ class ScaledMoment:
         return math.log(self.mantissa) + self.log_scale
 
 
-def _check_params(p: float, h: float) -> None:
-    if not p > 0:
-        raise ValueError("moment power p must be positive")
-    if not h > 0:
-        raise ValueError("bandwidth h must be positive")
-
-
 def _window(sample: Sample, x, h: float, kernel: KernelSpec, rows=None):
     """The one scan of the sample: (weights, t = Y / M, M) over the kernel window.
 
@@ -77,7 +70,7 @@ def _window(sample: Sample, x, h: float, kernel: KernelSpec, rows=None):
     t lies in (0, 1].  An empty window gives empty arrays and M = 0.
     """
     xs, ys = (sample.xs, sample.ys) if rows is None else (sample.xs[rows], sample.ys[rows])
-    weights = kernel.scaled_density(x, xs, h)
+    weights = kernel.scaled_density(_points(x, sample.dimension, one=True), xs, h)
     mask = weights > 0.0
     w, y = weights[mask], ys[mask]
     if w.size == 0:
@@ -111,9 +104,7 @@ def window_rows(sample: Sample, grid, h: float):
     """
     xs = sample.xs
     n, d = xs.shape
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.shape[1] != d:
-        raise ValueError(f"grid rows have {grid.shape[-1]} coordinates, the sample has dimension {d}")
+    grid = _points(grid, d)
     # rounding is monotone, so every point the kernel's (x - X) / h test accepts lies in
     # [x - h, x + h] as rounded; the pad keeps the box a superset if that test rounds differently
     pad = 8.0 * np.spacing(np.maximum(np.abs(grid), h))
@@ -176,7 +167,7 @@ def scaled_moment(sample: Sample, x, p: float, h: float, kernel: KernelSpec, *, 
     An empty window is a value, not an error: count 0, mantissa 0.
     ``_rows`` is the candidate rows ``window_rows`` gives for x.
     """
-    _check_params(p, h)
+    _positive(p=p, h=h)
     w, t, m = _window(sample, x, h, kernel, _rows)
     if w.size == 0:
         return ScaledMoment(log_scale=0.0, mantissa=0.0, count=0)
@@ -190,7 +181,7 @@ def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> f
     Computed in one pass with a shared scale, mathematically identical to
     the naive ratio of the two moments.
     """
-    _check_params(p, h)
+    _positive(p=p, h=h)
     return _ratio(*_window(sample, x, h, kernel), p)
 
 
@@ -201,9 +192,7 @@ def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: K
     low the ratio at power p; all four underlying moments share one scale.
     ``_rows`` is the candidate rows ``window_rows`` gives for x.
     """
-    _check_params(p, h)
-    if not a > 0:
-        raise ValueError("order multiplier a must be positive")
+    _positive(p=p, h=h, a=a)
     w, t, m = _window(sample, x, h, kernel, _rows)
     high = _ratio(w, t, m, (a + 1.0) * p)
     low = _ratio(w, t, m, p)

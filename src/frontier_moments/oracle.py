@@ -37,7 +37,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .kernels import KernelSpec
-from .model import SUPPORT, FrontierModel, _tail_fields, _tail_survival, evaluation_grid, field_range
+from .model import SUPPORT, FrontierModel, _points, _positive, _tail_fields, _tail_survival, evaluation_grid, field_range
 
 # Stirling tail S(z) in gammaln(z) = (z - 1/2) log z - z + log(2 pi)/2 + S(z);
 # coefficients of z^-1, z^-3, ..., z^-9, ample for z >= 32
@@ -101,9 +101,8 @@ def _moment_parts(fields, p: float):
 
 def moment_decomposition(model: FrontierModel, x, p: float) -> MomentDecomposition:
     """Closed-form m_p(x) / g(x)^p with its leading/correction split."""
-    if not p > 0:
-        raise ValueError("moment power p must be positive")
-    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    _positive(p=p)
+    xs = _points(x, model.dimension, one=True)
     main, error = _moment_parts(tuple(float(v[0]) for v in _tail_fields(model, xs)), p)
     return MomentDecomposition(main=float(main), error=float(error))
 
@@ -151,9 +150,8 @@ def moment_brute(model: FrontierModel, x, p: float) -> float:
     grading resolves the t^alpha endpoint for fractional alpha and the
     truncation tail is exponentially negligible.
     """
-    if not p > 0:
-        raise ValueError("moment power p must be positive")
-    xs = np.atleast_2d(np.asarray(x, dtype=float))
+    _positive(p=p)
+    xs = _points(x, model.dimension, one=True)
     fields = tuple(float(v[0]) for v in _tail_fields(model, xs))
     nodes, weights = _BRUTE_NODES
     upper = min(p, 60.0)
@@ -177,11 +175,8 @@ def smoothed_moment(model: FrontierModel, x, p: float, h: float, kernel: KernelS
     support boundary cuts through the tensor grid and caps the relative
     accuracy around 1e-4.
     """
-    if not p > 0:
-        raise ValueError("moment power p must be positive")
-    if not h > 0:
-        raise ValueError("bandwidth h must be positive")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    _positive(p=p, h=h)
+    x = _points(x, model.dimension, one=True)
     if np.any(x - h < SUPPORT[0] - 1e-12) or np.any(x + h > SUPPORT[1] + 1e-12):
         raise ValueError("kernel ball exits the covariate support")
     u, weights = _ball_rule(model.dimension)
@@ -202,16 +197,14 @@ def smoothed_ratio(model: FrontierModel, x, p: float, h: float, kernel: KernelSp
 
 def moment_equivalent(model: FrontierModel, x, p: float) -> float:
     """First-order description of mu_p(x) / g(x)^p:  f C Gamma(alpha+1) p^-alpha."""
-    if not p > 0:
-        raise ValueError("moment power p must be positive")
+    _positive(p=p)
     al = model.alpha(x)
     return model.f.pdf_point(x) * model.C(x) * math.gamma(al + 1.0) * p**-al
 
 
 def ratio_expansion(model: FrontierModel, x, p: float) -> float:
     """Expansion of mu_p / mu_(p+1):  (1 + alpha(x)/(p+1)) / g(x)."""
-    if not p > 0:
-        raise ValueError("moment power p must be positive")
+    _positive(p=p)
     return (1.0 + model.alpha(x) / (p + 1.0)) / model.g(x)
 
 

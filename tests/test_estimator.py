@@ -228,7 +228,7 @@ class TestRates:
             EstimatorConfig(p=5.0, h=0.0, kernel=K1)
         with pytest.raises(ValueError):
             EstimatorConfig(p=5.0, h=1.0, kernel=K1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="order multiplier a must be positive"):
             EstimatorConfig(p=5.0, h=0.1, kernel=K1, a=0.0)
 
 

@@ -73,9 +73,9 @@ def test_scaled_density_values():
 
 def test_scaled_density_rejects_bad_bandwidth():
     k = KernelSpec(dimension=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bandwidth h must be positive"):
         k.scaled_density(np.array([0.0]), np.array([0.0]), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bandwidth h must be positive"):
         k.scaled_density(np.array([0.0]), np.array([0.0]), -0.2)
 
 

@@ -66,9 +66,9 @@ class TestScaledMoment:
 
     def test_rejects_bad_parameters(self):
         s = uniform_sample(10, seed=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="moment power p must be positive"):
             scaled_moment(s, [0.5], 0.0, 0.1, K1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bandwidth h must be positive"):
             scaled_moment(s, [0.5], 2.0, 0.0, K1)
 
 

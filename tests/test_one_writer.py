@@ -1,0 +1,60 @@
+"""Argument rules have one writer: each positivity message is written once in
+``src/``, and query points are coerced only by ``model._points``.
+
+``KernelSpec.density`` keeps its own ``np.atleast_2d``: its argument is a
+kernel-space offset ``u``, not a query point.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "frontier_moments"
+SOURCES = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+MESSAGES = (
+    "moment power p must be positive",
+    "bandwidth h must be positive",
+    "order multiplier a must be positive",
+)
+COERCIONS = {"atleast_1d", "atleast_2d"}
+ALLOWED = {"model._points", "kernels.KernelSpec.density"}
+
+
+def string_constants(source: str) -> list[str]:
+    return [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def coercion_sites(module: str, source: str) -> list[str]:
+    """Qualified name of the function around each np.atleast_1d / np.atleast_2d use."""
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                if isinstance(child, ast.Attribute) and child.attr in COERCIONS:
+                    sites.append(".".join([module] + scope))
+                visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+@pytest.mark.parametrize("message", MESSAGES)
+def test_positivity_message_written_once(message):
+    count = sum(string_constants(src).count(message) for src in SOURCES.values())
+    assert count == 1
+
+
+def test_query_points_coerced_only_by_the_point_rule():
+    sites = [s for module, src in SOURCES.items() for s in coercion_sites(module, src)]
+    assert set(sites) <= ALLOWED, sites
+
+
+def test_guard_sees_copies():
+    copy = 'def f(x):\n    if not x > 0:\n        raise ValueError("bandwidth h must be positive")\n'
+    assert string_constants(copy).count("bandwidth h must be positive") == 1
+    src = "import numpy as np\nclass K:\n    def g(self, x):\n        return np.atleast_2d(x)\ny = np.atleast_1d(3)\n"
+    assert coercion_sites("m", src) == ["m.K.g", "m"]

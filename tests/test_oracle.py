@@ -101,7 +101,7 @@ class TestMomentDecomposition:
             assert_allclose(closed, brute, rtol=1e-8)
 
     def test_rejects_nonpositive_power(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="moment power p must be positive"):
             moment_decomposition(build(), X, 0.0)
 
 

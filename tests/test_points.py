@@ -1,0 +1,107 @@
+"""Every public entry that takes a query point or a grid applies one shape rule.
+
+A point in dimension d is a sequence of d coordinates; in d = 1 a flat
+sequence holds one coordinate per point.  Any other shape raises a
+ValueError naming the expected coordinate count.
+"""
+
+import numpy as np
+import pytest
+
+from frontier_moments import (
+    EstimatorConfig,
+    KernelSpec,
+    effective_count,
+    estimate_at,
+    estimate_grid,
+    model_from_dict,
+    moment_brute,
+    moment_decomposition,
+    moment_equivalent,
+    moment_ratio,
+    moment_ratio_exact,
+    moment_ratio_pair,
+    quantile,
+    ratio_expansion,
+    sample,
+    scaled_moment,
+    smoothed_moment,
+    smoothed_ratio,
+    survival,
+    survival_values,
+)
+from frontier_moments.moments import window_rows
+
+SPECS = {
+    1: {
+        "dimension": 1,
+        "g": {"kind": "affine", "a": 1.0, "b": [0.2]},
+        "alpha": {"kind": "constant", "a": 2.0},
+        "C": {"kind": "constant", "a": 0.7},
+        "D0": {"kind": "constant", "a": 0.3},
+    },
+    2: {
+        "dimension": 2,
+        "g": {"kind": "affine", "a": 1.0, "b": [0.2, 0.1]},
+        "alpha": {"kind": "constant", "a": 2.0},
+    },
+}
+MODELS = {d: model_from_dict(spec) for d, spec in SPECS.items()}
+SAMPLES = {d: sample(MODELS[d], 400, seed=1) for d in SPECS}
+KERNELS = {d: KernelSpec(dimension=d) for d in SPECS}
+CONFIGS = {d: EstimatorConfig(p=5.0, h=0.2, kernel=KERNELS[d]) for d in SPECS}
+
+# name -> call(d, x): each takes one query point x
+ONE_POINT = {
+    "ScalarField.__call__": lambda d, x: MODELS[d].g(x),
+    "CovariateDensity.pdf_point": lambda d, x: MODELS[d].f.pdf_point(x),
+    "survival": lambda d, x: survival(MODELS[d], x, 0.5),
+    "quantile": lambda d, x: quantile(MODELS[d], x, 0.5),
+    "estimate_at": lambda d, x: estimate_at(SAMPLES[d], x, CONFIGS[d]),
+    "scaled_moment": lambda d, x: scaled_moment(SAMPLES[d], x, 5.0, 0.2, KERNELS[d]),
+    "moment_ratio": lambda d, x: moment_ratio(SAMPLES[d], x, 5.0, 0.2, KERNELS[d]),
+    "moment_ratio_pair": lambda d, x: moment_ratio_pair(SAMPLES[d], x, 5.0, 1.0, 0.2, KERNELS[d]),
+    "effective_count": lambda d, x: effective_count(SAMPLES[d], x, 0.2),
+    "moment_decomposition": lambda d, x: moment_decomposition(MODELS[d], x, 5.0),
+    "moment_brute": lambda d, x: moment_brute(MODELS[d], x, 5.0),
+    "moment_ratio_exact": lambda d, x: moment_ratio_exact(MODELS[d], x, 5.0),
+    "smoothed_moment": lambda d, x: smoothed_moment(MODELS[d], x, 5.0, 0.1, KERNELS[d]),
+    "smoothed_ratio": lambda d, x: smoothed_ratio(MODELS[d], x, 5.0, 0.1, KERNELS[d]),
+    "moment_equivalent": lambda d, x: moment_equivalent(MODELS[d], x, 5.0),
+    "ratio_expansion": lambda d, x: ratio_expansion(MODELS[d], x, 5.0),
+}
+# name -> call(d, xs): each takes a batch of points
+GRID = {
+    "ScalarField.values": lambda d, xs: MODELS[d].g.values(xs),
+    "CovariateDensity.pdf": lambda d, xs: MODELS[d].f.pdf(xs),
+    "survival_values": lambda d, xs: survival_values(MODELS[d], xs, np.full(len(xs), 0.5)),
+    "estimate_grid": lambda d, xs: estimate_grid(SAMPLES[d], xs, CONFIGS[d]),
+    "window_rows": lambda d, xs: window_rows(SAMPLES[d], xs, 0.2),
+}
+
+MISUSE = (
+    [(name, 2, [0.5], "one-coordinate-in-2d") for name in ONE_POINT]
+    + [(name, 2, [0.5, 0.5, 0.5], "three-coordinates-in-2d") for name in ONE_POINT]
+    + [(name, 1, [0.5, 0.7], "two-points-in-1d") for name in ONE_POINT]
+    + [(name, 2, [[0.5], [0.6]], "one-coordinate-in-2d") for name in GRID]
+    + [(name, 2, [[0.5, 0.5, 0.5]], "three-coordinates-in-2d") for name in GRID]
+)
+
+
+@pytest.mark.parametrize("name, d, x", [m[:3] for m in MISUSE], ids=[f"{m[0]}-{m[3]}" for m in MISUSE])
+def test_misshapen_point_raises_naming_the_coordinate_count(name, d, x):
+    call = ONE_POINT.get(name) or GRID[name]
+    with pytest.raises(ValueError, match=f"of {d} coordinate"):
+        call(d, x)
+
+
+def test_flat_grid_in_one_dimension_is_one_point_per_entry():
+    flat = np.linspace(0.1, 0.9, 9)
+    records = estimate_grid(SAMPLES[1], flat, CONFIGS[1])
+    assert records == estimate_grid(SAMPLES[1], flat.reshape(-1, 1), CONFIGS[1])
+    assert [r.x for r in records] == [(float(v),) for v in flat]
+
+
+def test_record_holds_the_point_that_was_evaluated():
+    assert estimate_at(SAMPLES[1], 0.5, CONFIGS[1]).x == (0.5,)
+    assert estimate_at(SAMPLES[2], np.array([[0.4, 0.6]]), CONFIGS[2]).x == (0.4, 0.6)
