@@ -15,9 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .kernels import KernelSpec
 from .model import Sample, ScalarField, _points, _positive
-from .moments import InsufficientLocalDataError, moment_ratio_pair, window_rows
+from .moments import InsufficientLocalDataError, grid_windows, moment_ratio_pair
 
 
 class ScheduleError(ValueError):
@@ -64,32 +66,41 @@ class EstimateRecord:
         return self.g_hat is not None
 
 
-def estimate_at(sample: Sample, x, config: EstimatorConfig, *, _rows=None) -> EstimateRecord:
-    """Frontier estimate at a single point; failures are flags, not exceptions.
-
-    ``_rows`` is the candidate rows ``window_rows`` gives for x; None scans every point.
-    """
-    x = _points(x, sample.dimension, one=True)
-    point = tuple(x[0].tolist())
-    try:
-        high, low, count = moment_ratio_pair(sample, x, config.p, config.a, config.h, config.kernel, _rows=_rows)
-    except InsufficientLocalDataError as err:
-        return EstimateRecord(x=point, g_hat=None, effective_count=err.count, raw_inverse=None)
+def _record(x: tuple[float, ...], config: EstimatorConfig, high, low, count: int) -> EstimateRecord:
+    """The record at x from its two moment ratios; high is None when the window gave none."""
+    if high is None:
+        return EstimateRecord(x=x, g_hat=None, effective_count=count, raw_inverse=None)
     p, a = config.p, config.a
     raw_inverse = (((a + 1.0) * p + 1.0) * high - (p + 1.0) * low) / (a * p)
     g_hat = 1.0 / raw_inverse if raw_inverse > 0.0 else None
-    return EstimateRecord(x=point, g_hat=g_hat, effective_count=count, raw_inverse=raw_inverse)
+    return EstimateRecord(x=x, g_hat=g_hat, effective_count=count, raw_inverse=raw_inverse)
+
+
+def estimate_at(sample: Sample, x, config: EstimatorConfig) -> EstimateRecord:
+    """Frontier estimate at a single point from a scan of all n rows; failures are flags, not exceptions."""
+    x = _points(x, sample.dimension, one=True)
+    try:
+        high, low, count = moment_ratio_pair(sample, x, config.p, config.a, config.h, config.kernel)
+    except InsufficientLocalDataError as err:
+        high, low, count = None, None, err.count
+    return _record(tuple(x[0].tolist()), config, high, low, count)
 
 
 def estimate_grid(sample: Sample, grid, config: EstimatorConfig) -> list[EstimateRecord]:
-    """estimate_at mapped over the grid rows, in deterministic order.
+    """The estimate at every grid row, in grid order, from one batched scan per chunk.
 
     Each point scans only the candidate rows of its window (``window_rows``),
-    so every record equals the one a scan of the whole sample gives.
+    and its sums add in sample order, so every record equals ``estimate_at``
+    at that point field for field.
     """
-    grid = _points(grid, sample.dimension)
-    windows = window_rows(sample, grid, config.h)
-    return [estimate_at(sample, grid[i], config, _rows=rows) for i, rows in enumerate(windows)]
+    p, a = config.p, config.a
+    records = []
+    for points, windows in grid_windows(sample, grid, config.h, config.kernel):
+        high, high_ok = windows.ratio((a + 1.0) * p)
+        low, low_ok = windows.ratio(p)
+        columns = zip(points.tolist(), high.tolist(), low.tolist(), (high_ok & low_ok).tolist(), windows.count.tolist())
+        records += [_record(tuple(x), config, hi if ok else None, lo, count) for x, hi, lo, ok, count in columns]
+    return records
 
 
 def sup_error(estimates: list[EstimateRecord], truth: ScalarField) -> tuple[float, int]:
@@ -98,11 +109,11 @@ def sup_error(estimates: list[EstimateRecord], truth: ScalarField) -> tuple[floa
     Failures are counted, never silently dropped; if every point failed
     there is nothing to report and DegenerateGridError is raised.
     """
-    failures = sum(1 for r in estimates if not r.ok)
-    errors = [abs(r.g_hat - truth(r.x)) for r in estimates if r.ok]
-    if not errors:
+    usable = [r for r in estimates if r.ok]
+    if not usable:
         raise DegenerateGridError(f"all {len(estimates)} grid points failed")
-    return max(errors), failures
+    errors = np.abs(np.array([r.g_hat for r in usable]) - truth.values([r.x for r in usable]))
+    return float(errors.max()), len(estimates) - len(usable)
 
 
 def rate_exponents(d: int, eta_g: float, alpha_bar: float) -> tuple[float, float]:

@@ -38,8 +38,8 @@ class ModelError(ValueError):
 
 
 def _float(value, what: str) -> float:
-    """float(value), or a ModelError naming ``what``; a bool is not a number."""
-    if not isinstance(value, bool):
+    """float(value), or a ModelError naming ``what``; a bool or a text is not a number, even "1.0"."""
+    if not isinstance(value, (bool, str, bytes)):
         try:
             return float(value)
         except (TypeError, ValueError):

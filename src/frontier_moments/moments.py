@@ -8,9 +8,14 @@ every mantissa term (Y_i / M)^p lies in [0, 1], the dominant one is exactly
 log_scale = p * log(M).  Ratios of consecutive moments share one window
 scan and one scale, so the common factor cancels without ever being formed.
 
-A grid of query points reads the sample through ``window_rows``, which
-hands each point a superset of its window; the kernel's own strict test
-still decides which of those rows are in it.
+Every moment is read from one scan (``_scan``): a batch of (query point,
+sample row) candidate pairs goes through one kernel call, and every
+per-window sum is a ``np.bincount`` over the window index, which adds each
+window's terms in sample order.  A grid takes its candidates from
+``window_rows``, a superset of each window; the one-point functions hand
+the scan all n rows.  The kernel's own strict test decides which
+candidates are in a window, so a grid value has the same bits as the
+one-point value at that point.
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .model import Sample, _points, _positive
+
+# most candidate rows one batched scan holds at once; a grid with more is scanned in chunks.
+# At 2**14 each transient array is 128 KB: larger chunks raised the studies' peak RSS and ran no faster.
+_CHUNK_ROWS = 2**14
 
 
 class InsufficientLocalDataError(RuntimeError):
@@ -61,22 +70,75 @@ class ScaledMoment:
         return math.log(self.mantissa) + self.log_scale
 
 
-def _window(sample: Sample, x, h: float, kernel: KernelSpec, rows=None):
-    """The one scan of the sample: (weights, t = Y / M, M) over the kernel window.
+@dataclass(frozen=True)
+class Windows:
+    """The kernel windows of a batch of query points, from one scan.
 
-    ``rows`` (sorted sample indices, from ``window_rows``) limits the scan
-    to those candidates; None scans every point.  Only points with positive
-    kernel weight are kept; M is the largest response among them, so every
-    t lies in (0, 1].  An empty window gives empty arrays and M = 0.
+    ``seg``, ``w`` and ``t`` hold one entry per in-window row: the index of
+    its window, its kernel weight and Y / M, ordered by window and then by
+    sample row.  ``m`` (M, the largest response in the window; 0 when it
+    is empty) and ``count`` hold one entry per window.
     """
-    xs, ys = (sample.xs, sample.ys) if rows is None else (sample.xs[rows], sample.ys[rows])
-    weights = kernel.scaled_density(_points(x, sample.dimension, one=True), xs, h)
-    mask = weights > 0.0
-    w, y = weights[mask], ys[mask]
-    if w.size == 0:
-        return w, y, 0.0
-    m = float(y.max())
-    return w, y / m, m
+
+    seg: np.ndarray
+    w: np.ndarray
+    t: np.ndarray
+    m: np.ndarray
+    count: np.ndarray
+
+    def total(self, values) -> np.ndarray:
+        """Per window, the sum of values * w over its rows, added in sample order."""
+        return np.bincount(self.seg, values * self.w, minlength=self.count.size)
+
+    def ratio(self, q: float) -> tuple[np.ndarray, np.ndarray]:
+        """(mu_q / mu_(q+1) on the scale M, whether it exists) per window.
+
+        A window with no mass at power q + 1 (empty, or every term
+        underflowed) has no ratio; its entry is NaN.
+        """
+        tq = self.t**q
+        num = self.total(tq)
+        den = self.total(tq * self.t)
+        usable = den > 0.0
+        return np.divide(num, self.m * den, out=np.full(num.size, np.nan), where=usable), usable
+
+    def moments(self, p: float, n: int) -> list[ScaledMoment]:
+        """(1/n) sum_i Y_i^p K_h(x - X_i) per window; an empty window is count 0, mantissa 0."""
+        mantissa = self.total(self.t**p) / n
+        return [
+            ScaledMoment(log_scale=p * math.log(m), mantissa=s, count=c) if c else ScaledMoment(0.0, 0.0, 0)
+            for m, s, c in zip(self.m.tolist(), mantissa.tolist(), self.count.tolist())
+        ]
+
+
+def _scan(sample: Sample, points: np.ndarray, h: float, kernel: KernelSpec, rows, seg) -> Windows:
+    """The one scan of the sample: the windows of ``points`` (shape (G, d)) over candidate pairs.
+
+    Candidate k pairs point seg[k] with sample row rows[k], sorted by
+    (seg, row).  One kernel call weighs every pair, and the pairs with
+    positive weight are the windows; M per window comes from
+    ``np.maximum.at``, so every t = Y / M lies in (0, 1].
+    """
+    weights = kernel.scaled_density(points[seg], sample.xs[rows], h)
+    keep = weights > 0.0
+    seg, w, ys = seg[keep], weights[keep], sample.ys[rows[keep]]
+    m = np.zeros(points.shape[0])
+    np.maximum.at(m, seg, ys)
+    return Windows(seg=seg, w=w, t=ys / m[seg], m=m, count=np.bincount(seg, minlength=points.shape[0]))
+
+
+def point_window(sample: Sample, x, h: float, kernel: KernelSpec) -> Windows:
+    """The window of the one point x, from a scan of all n rows."""
+    x = _points(x, sample.dimension, one=True)
+    return _scan(sample, x, h, kernel, np.arange(sample.n), np.zeros(sample.n, dtype=np.intp))
+
+
+def grid_windows(sample: Sample, grid, h: float, kernel: KernelSpec):
+    """(points, windows) per chunk of ``window_rows``, in grid order: the chunk's grid rows and their windows."""
+    grid = _points(grid, sample.dimension)
+    for chunk, rows, seg in window_rows(sample, grid, h):
+        points = grid[chunk]
+        yield points, _scan(sample, points, h, kernel, rows, seg)
 
 
 def _cells_per_axis(n: int, axes: int) -> int:
@@ -90,11 +152,14 @@ def _cells_per_axis(n: int, axes: int) -> int:
 
 
 def window_rows(sample: Sample, grid, h: float):
-    """For each row of ``grid`` (shape (G, d)), the sample rows that may lie in its radius-h window.
+    """For the rows of ``grid`` (shape (G, d)), the sample rows that may lie in their radius-h windows.
 
-    Returns an iterator of sorted index arrays, built one grid point at a
-    time.  Each array is a superset of the window, so scanning only those
-    rows gives the same window, in the same order, as scanning them all.
+    Returns an iterator over consecutive chunks of the grid, each a triple
+    (chunk, rows, seg): ``chunk`` is the slice of grid rows, and candidate
+    k pairs grid point chunk.start + seg[k] with sample row rows[k].  The pairs are sorted by (seg, row), and each point's rows are
+    a superset of its window, so scanning only them gives the same window,
+    in the same order, as scanning all n rows.  A chunk holds at most
+    ``_CHUNK_ROWS`` candidates, unless one grid point alone has more.
 
     The sample is sorted once by a cell on its first d - 1 coordinates,
     then by its last one: the key is cell * n + rank of the last coordinate.
@@ -140,39 +205,63 @@ def window_rows(sample: Sample, grid, h: float):
     sorted_last = xs[by_last, -1]
     starts = np.searchsorted(keys, base + np.searchsorted(sorted_last, lower[:, -1], "left")[:, None])
     stops = np.searchsorted(keys, base + np.searchsorted(sorted_last, upper[:, -1], "right")[:, None])
-    stops = np.where(valid, stops, starts)
-    return (_gather(order, a, b) for a, b in zip(starts.tolist(), stops.tolist()))
+    return _chunks(order, starts, np.where(valid, stops - starts, 0))
 
 
-def _gather(order, starts, stops):
-    """The sample rows order[a:b] over the (a, b) runs, back in sample order."""
-    runs = [order[a:b] for a, b in zip(starts, stops) if b > a]
-    return np.sort(np.concatenate(runs)) if runs else np.empty(0, dtype=np.intp)
+def _chunks(order, starts, lengths):
+    """(chunk, rows, seg) per chunk of grid points, from each point's runs order[start:start + length]."""
+    per_point = lengths.sum(axis=1)
+    # before[g]: candidates of the grid points ahead of g; a chunk ends before its total passes _CHUNK_ROWS
+    before = np.concatenate(([0], np.cumsum(per_point)))
+    lo = 0
+    while lo < per_point.size:
+        hi = max(int(np.searchsorted(before, before[lo] + _CHUNK_ROWS, "right")) - 1, lo + 1)
+        yield slice(lo, hi), *_gather(order, starts[lo:hi].ravel(), lengths[lo:hi].ravel(), per_point[lo:hi])
+        lo = hi
 
 
-def _ratio(w, t, m: float, q: float) -> float:
-    """mu_q / mu_(q+1) over the window, both moments on the scale m."""
-    if w.size == 0:
+def _gather(order, starts, lengths, per_point):
+    """(rows, seg): the rows of the runs order[start:start + length], each paired with its grid point.
+
+    ``per_point`` is the number of rows of each grid point's runs; the
+    pairs come back sorted by (seg, row).
+    """
+    ends = np.cumsum(lengths)
+    at = np.repeat(starts - (ends - lengths), lengths)
+    at += np.arange(at.size)
+    seg = np.repeat(np.arange(per_point.size), per_point)
+    # seg is sorted and each key seg * n + row stays within its point's block, so the sort keeps seg
+    base = seg * order.size
+    rows = order[at]
+    rows += base
+    rows.sort()
+    rows -= base
+    return rows, seg
+
+
+def _one(windows: Windows, values, usable) -> float:
+    """The value of a one-point scan's window, or InsufficientLocalDataError when it has none."""
+    count = int(windows.count[0])
+    if count == 0:
         raise InsufficientLocalDataError(0)
-    tq = t**q
-    den = float(np.sum(tq * t * w))
-    if den <= 0.0:
-        raise InsufficientLocalDataError(w.size, f"window of {w.size} points carries no usable moment mass")
-    return float(np.sum(tq * w)) / (m * den)
+    if not usable[0]:
+        raise InsufficientLocalDataError(count, f"window of {count} points carries no usable moment mass")
+    return float(values[0])
 
 
-def scaled_moment(sample: Sample, x, p: float, h: float, kernel: KernelSpec, *, _rows=None) -> ScaledMoment:
+def scaled_moment(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> ScaledMoment:
     """(1/n) sum_i Y_i^p K_h(x - X_i) in scaled representation.
 
     An empty window is a value, not an error: count 0, mantissa 0.
-    ``_rows`` is the candidate rows ``window_rows`` gives for x.
     """
     _positive(p=p, h=h)
-    w, t, m = _window(sample, x, h, kernel, _rows)
-    if w.size == 0:
-        return ScaledMoment(log_scale=0.0, mantissa=0.0, count=0)
-    mantissa = float(np.sum(t**p * w)) / sample.n
-    return ScaledMoment(log_scale=p * math.log(m), mantissa=mantissa, count=w.size)
+    return point_window(sample, x, h, kernel).moments(p, sample.n)[0]
+
+
+def scaled_moments(sample: Sample, grid, p: float, h: float, kernel: KernelSpec) -> list[ScaledMoment]:
+    """``scaled_moment`` at every row of ``grid``, from the batched scan."""
+    _positive(p=p, h=h)
+    return [m for _, windows in grid_windows(sample, grid, h, kernel) for m in windows.moments(p, sample.n)]
 
 
 def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> float:
@@ -182,21 +271,21 @@ def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> f
     the naive ratio of the two moments.
     """
     _positive(p=p, h=h)
-    return _ratio(*_window(sample, x, h, kernel), p)
+    windows = point_window(sample, x, h, kernel)
+    return _one(windows, *windows.ratio(p))
 
 
-def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: KernelSpec, *, _rows=None):
+def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: KernelSpec):
     """The two ratios the frontier estimate needs, from a single window scan.
 
     Returns (high, low, count) where high is the ratio at power (a + 1) p,
     low the ratio at power p; all four underlying moments share one scale.
-    ``_rows`` is the candidate rows ``window_rows`` gives for x.
     """
     _positive(p=p, h=h, a=a)
-    w, t, m = _window(sample, x, h, kernel, _rows)
-    high = _ratio(w, t, m, (a + 1.0) * p)
-    low = _ratio(w, t, m, p)
-    return high, low, w.size
+    windows = point_window(sample, x, h, kernel)
+    high = _one(windows, *windows.ratio((a + 1.0) * p))
+    low = _one(windows, *windows.ratio(p))
+    return high, low, int(windows.count[0])
 
 
 def effective_count(sample: Sample, x, h: float) -> int:
@@ -205,4 +294,4 @@ def effective_count(sample: Sample, x, h: float) -> int:
     Uses the kernel window's own test, ||(x - X) / h||^2 < 1, so the count
     always matches the one the moment ratios report.
     """
-    return _window(sample, x, h, KernelSpec("uniform_ball", sample.dimension))[0].size
+    return int(point_window(sample, x, h, KernelSpec("uniform_ball", sample.dimension)).count[0])

@@ -33,7 +33,7 @@ from .estimator import (
 )
 from .kernels import KernelSpec
 from .model import FrontierModel, Sample, evaluation_grid, field_range, model_to_dict, sample
-from .moments import scaled_moment, window_rows
+from .moments import scaled_moments
 from .oracle import smoothed_moment
 
 REPORT_SCHEMA = "frontier-moments/mc-study/1"
@@ -243,8 +243,7 @@ def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
         p, h = scheduled[n]
         smpl = sample(model, n, seed)
         worst = 0.0
-        for i, rows in enumerate(window_rows(smpl, grid, h)):
-            moment = scaled_moment(smpl, grid[i], p, h, kernel, _rows=rows)
+        for i, moment in enumerate(scaled_moments(smpl, grid, p, h, kernel)):
             if moment.mantissa <= 0.0:
                 deviation = 1.0  # an empty window estimates the moment as zero
             else:

@@ -1,8 +1,11 @@
-"""Argument rules have one writer: each positivity message is written once in
-``src/``, and query points are coerced only by ``model._points``.
+"""Argument rules and the moment scan have one writer each.
 
-``KernelSpec.density`` keeps its own ``np.atleast_2d``: its argument is a
-kernel-space offset ``u``, not a query point.
+Each positivity message is written once in ``src/``, and query points are
+coerced only by ``model._points``.  ``KernelSpec.density`` keeps its own
+``np.atleast_2d``: its argument is a kernel-space offset ``u``, not a query
+point.  The sample meets the kernel in one place, ``moments._scan``, and
+``moments`` adds every window sum with ``np.bincount``, never ``np.sum``:
+one scan and one summation rule, with no second path beside them.
 """
 
 import ast
@@ -25,8 +28,8 @@ def string_constants(source: str) -> list[str]:
     return [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
 
 
-def coercion_sites(module: str, source: str) -> list[str]:
-    """Qualified name of the function around each np.atleast_1d / np.atleast_2d use."""
+def attribute_sites(module: str, source: str, attrs) -> list[str]:
+    """Qualified name of the function around each use of an attribute named in ``attrs``."""
     sites = []
 
     def visit(node, scope):
@@ -34,12 +37,26 @@ def coercion_sites(module: str, source: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
             else:
-                if isinstance(child, ast.Attribute) and child.attr in COERCIONS:
+                if isinstance(child, ast.Attribute) and child.attr in attrs:
                     sites.append(".".join([module] + scope))
                 visit(child, scope)
 
     visit(ast.parse(source), [])
     return sites
+
+
+def coercion_sites(module: str, source: str) -> list[str]:
+    """Qualified name of the function around each np.atleast_1d / np.atleast_2d use."""
+    return attribute_sites(module, source, COERCIONS)
+
+
+def numpy_uses(source: str, name: str) -> list[int]:
+    """Line of each ``np.<name>`` / ``numpy.<name>`` in ``source``."""
+    return [
+        n.lineno
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, ast.Attribute) and n.attr == name and isinstance(n.value, ast.Name) and n.value.id in ("np", "numpy")
+    ]
 
 
 @pytest.mark.parametrize("message", MESSAGES)
@@ -53,8 +70,21 @@ def test_query_points_coerced_only_by_the_point_rule():
     assert set(sites) <= ALLOWED, sites
 
 
+def test_kernel_scanned_only_by_the_windows_primitive():
+    sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"scaled_density"})]
+    assert sites == ["moments._scan"]
+
+
+def test_moments_sum_only_by_bincount():
+    assert numpy_uses(SOURCES["moments"], "sum") == []
+    assert numpy_uses(SOURCES["moments"], "bincount")
+
+
 def test_guard_sees_copies():
     copy = 'def f(x):\n    if not x > 0:\n        raise ValueError("bandwidth h must be positive")\n'
     assert string_constants(copy).count("bandwidth h must be positive") == 1
     src = "import numpy as np\nclass K:\n    def g(self, x):\n        return np.atleast_2d(x)\ny = np.atleast_1d(3)\n"
     assert coercion_sites("m", src) == ["m.K.g", "m"]
+    src = "import numpy as np\ndef f(k, x, xs):\n    return np.sum(k.scaled_density(x, xs, 0.1))\n"
+    assert attribute_sites("m", src, {"scaled_density"}) == ["m.f"]
+    assert numpy_uses(src, "sum") == [3]

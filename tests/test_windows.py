@@ -1,8 +1,9 @@
-"""The grid path's window index against a scan of the whole sample.
+"""The grid path's batched scan against a scan of the whole sample.
 
 ``estimate_grid`` hands each grid point only the candidate rows of its
-kernel window (``moments.window_rows``); the kernel's strict test then
-decides which candidates are in the window.  Every record must equal, field
+kernel window (``moments.window_rows``) and scans every candidate of a
+chunk of grid points in one kernel call; the kernel's strict test then
+decides which candidates are in a window.  Every record must equal, field
 for field and exactly, the one a scan of all n rows gives.
 """
 
@@ -12,12 +13,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 
 from frontier_moments import (
+    DegenerateGridError,
     EstimatorConfig,
     KernelSpec,
     RateSchedule,
     Sample,
+    ScalarField,
     StudyConfig,
     estimate_at,
     estimate_grid,
@@ -27,10 +31,12 @@ from frontier_moments import (
     moment_concentration,
     sample,
     schedule,
+    sup_error,
 )
 from frontier_moments import kernels as kernels_module
+from frontier_moments import moments as moments_module
 from frontier_moments import study as study_module
-from frontier_moments.moments import _cells_per_axis
+from frontier_moments.moments import _cells_per_axis, window_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 PROFILES = ["epanechnikov_ball", "biweight_ball", "uniform_ball"]
@@ -161,8 +167,26 @@ def test_moment_concentration_matches_full_scan(monkeypatch, path):
     # the quadrature truth does not depend on the scan; a stand-in keeps the test fast
     monkeypatch.setattr(study_module, "smoothed_moment", lambda *args: 1.0)
     indexed = moment_concentration(model, config)
-    monkeypatch.setattr(study_module, "window_rows", lambda smpl, grid, h: [None] * len(grid))
+    monkeypatch.setattr(moments_module, "window_rows", all_rows)
     assert moment_concentration(model, config) == indexed
+
+
+def all_rows(smpl, grid, h):
+    """``window_rows`` without the index: every grid point is its own chunk, paired with all n rows."""
+    return ((slice(g, g + 1), np.arange(smpl.n), np.zeros(smpl.n, dtype=np.intp)) for g in range(len(grid)))
+
+
+def counting_scans(monkeypatch):
+    """Patch ``KernelSpec.scaled_density`` to record the candidate count of every call."""
+    scanned = []
+    original = kernels_module.KernelSpec.scaled_density
+
+    def counting(self, x, xs, h):
+        scanned.append(len(xs))
+        return original(self, x, xs, h)
+
+    monkeypatch.setattr(kernels_module.KernelSpec, "scaled_density", counting)
+    return scanned
 
 
 @pytest.mark.parametrize(
@@ -174,18 +198,17 @@ def test_grid_scans_a_fraction_of_the_sample(monkeypatch, path, per_axis):
     n = 4000
     sched = RateSchedule.optimal(model.dimension, model.eta_g, field_range(model.alpha)[1])
     p, h = schedule(n, sched)
-    scanned = []
-    original = kernels_module.KernelSpec.scaled_density
-
-    def counting(self, x, xs, h):
-        scanned.append(len(xs))
-        return original(self, x, xs, h)
-
-    monkeypatch.setattr(kernels_module.KernelSpec, "scaled_density", counting)
+    smpl = sample(model, n, seed=3)
     grid = evaluation_grid(model.omega, model.dimension, per_axis)
-    estimate_grid(sample(model, n, seed=3), grid, EstimatorConfig(p=p, h=h, kernel=KernelSpec(dimension=model.dimension)))
-    assert len(scanned) == grid.shape[0]
-    assert max(scanned) < n / 4
+    chunks = list(window_rows(smpl, grid, h))
+    scanned = counting_scans(monkeypatch)
+    estimate_grid(smpl, grid, EstimatorConfig(p=p, h=h, kernel=KernelSpec(dimension=model.dimension)))
+    # one kernel call per chunk, over exactly that chunk's candidates
+    assert scanned == [rows.size for _, rows, _ in chunks]
+    assert max(scanned) <= moments_module._CHUNK_ROWS
+    candidates = np.concatenate([np.bincount(seg, minlength=c.stop - c.start) for c, _, seg in chunks])
+    assert candidates.size == grid.shape[0]
+    assert candidates.max() < n / 4
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
@@ -193,3 +216,118 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
     code = "import sys, frontier_moments.cli; print('scipy.spatial' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("d, per_axis, h", [(1, 41, 0.3), (2, 7, 0.4)])
+def test_chunked_grid_equals_one_pass(monkeypatch, d, per_axis, h):
+    # a wide bandwidth puts most of the sample in every window; a small chunk bound splits the grid
+    smpl = random_sample(300, d, seed=60 + d)
+    grid = evaluation_grid((0.05, 0.95), d, per_axis)
+    config = EstimatorConfig(p=9.0, h=h, kernel=KernelSpec(dimension=d))
+    assert len(list(window_rows(smpl, grid, h))) == 1
+    whole = estimate_grid(smpl, grid, config)
+    limit = 500
+    monkeypatch.setattr(moments_module, "_CHUNK_ROWS", limit)
+    chunks = list(window_rows(smpl, grid, h))
+    assert len(chunks) > 2
+    assert [c[0].start for c in chunks[1:]] == [c[0].stop for c in chunks[:-1]]
+    assert chunks[0][0].start == 0 and chunks[-1][0].stop == grid.shape[0]
+    for points, rows, _ in chunks:
+        assert rows.size <= limit or points.stop - points.start == 1
+    scanned = counting_scans(monkeypatch)
+    assert estimate_grid(smpl, grid, config) == whole
+    assert scanned == [rows.size for _, rows, _ in chunks]
+
+
+def per_point_reference(smpl, grid, config):
+    """(count, high, low) per grid point: one kernel call and np.sum per point over all n rows.
+
+    high and low are None when the window cannot give them.
+    """
+    p, a, h, kernel = config.p, config.a, config.h, config.kernel
+    out = []
+    for x in grid:
+        weights = kernel.scaled_density(x, smpl.xs, h)
+        w, y = weights[weights > 0.0], smpl.ys[weights > 0.0]
+        ratios = []
+        for q in ((a + 1.0) * p, p):
+            if w.size == 0:
+                break
+            m = float(y.max())
+            t = y / m
+            tq = t**q
+            den = float(np.sum(tq * t * w))
+            if den <= 0.0:
+                break
+            ratios.append(float(np.sum(tq * w)) / (m * den))
+        out.append((w.size, *(ratios if len(ratios) == 2 else (None, None))))
+    return out
+
+
+def gapped_sample():
+    # responses on [0.2, 0.4) and [0.6, 0.8), one point at 0.51, and two points exactly on
+    # the h = 0.125 ball around 0.5
+    rng = np.random.default_rng(70)
+    xs = np.concatenate([0.2 + 0.2 * rng.random(60), 0.6 + 0.2 * rng.random(60), [0.51, 0.375, 0.625]])
+    return Sample(xs=xs[:, None], ys=rng.random(xs.size) + 0.05)
+
+
+def two_term_sample():
+    return sample(load_model(ROOT / "models" / "two_term_tail.json"), 2000, seed=71)  # D0 != 0
+
+
+def ball_sample_2d():
+    # (0.3, 0.3) + (3/16, 4/16) lies exactly at distance h = 5/16
+    xs = np.array([[0.3, 0.3], [0.4875, 0.55], [0.31, 0.32], [0.28, 0.29], [0.9, 0.9]])
+    return Sample(xs=xs, ys=np.array([0.7, 2.0, 0.9, 0.95, 3.0]))
+
+
+DIFFERENTIAL = {
+    # grid 0.0 and 1.0: empty first and last windows; 0.45: empty between non-empty ones;
+    # 0.51: a one-point window at h = 0.05; 0.5 at h = 0.125: points on the ball
+    "gaps-and-one-point": (gapped_sample, [[0.0], [0.3], [0.45], [0.51], [0.7], [1.0]], 0.05),
+    "on-the-ball": (gapped_sample, [[0.5], [0.375], [0.625]], 0.125),
+    "two-term-tail": (two_term_sample, evaluation_grid((0.1, 0.9), 1, 41), 0.02),
+    "d2-on-ball": (ball_sample_2d, [[0.3, 0.3], [0.4875, 0.55], [0.0, 1.0], [0.6, 0.6]], 0.3125),
+    "d2-random": (lambda: random_sample(1500, 2, seed=72), evaluation_grid((-0.1, 1.1), 2, 9), 0.1),
+    "d3-random": (lambda: random_sample(1500, 3, seed=73), evaluation_grid((-0.1, 1.1), 3, 5), 0.2),
+}
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("case", sorted(DIFFERENTIAL))
+def test_batched_grid_matches_per_point_sums(case, profile):
+    make, grid, h = DIFFERENTIAL[case]
+    smpl, grid = make(), np.asarray(grid, dtype=float)
+    kernel = KernelSpec(profile=profile, dimension=smpl.dimension)
+    for p, a in ((1.0, 1.0), (7.5, 0.5), (120.0, 2.0)):
+        config = EstimatorConfig(p=p, h=h, kernel=kernel, a=a)
+        want = per_point_reference(smpl, grid, config)
+        records = estimate_grid(smpl, grid, config)
+        windows = [w for _, w in moments_module.grid_windows(smpl, grid, h, kernel)]
+        high = np.concatenate([w.ratio((a + 1.0) * p)[0] for w in windows])
+        low = np.concatenate([w.ratio(p)[0] for w in windows])
+        assert [r.effective_count for r in records] == [c for c, _, _ in want]
+        for x, rec in zip(grid, records):
+            assert estimate_at(smpl, x, config) == estimate_grid(smpl, [x], config)[0] == rec
+        for rec, hi, lo, (count, want_hi, want_lo) in zip(records, high, low, want):
+            if want_hi is None:
+                assert rec.raw_inverse is None and not rec.ok
+                assert np.isnan(hi) and np.isnan(lo)
+                continue
+            assert_allclose([hi, lo], [want_hi, want_lo], rtol=1e-13)
+            raw = (((a + 1.0) * p + 1.0) * want_hi - (p + 1.0) * want_lo) / (a * p)
+            assert_allclose(rec.raw_inverse, raw, rtol=1e-13)
+            assert rec.ok == (raw > 0.0)
+    if case == "gaps-and-one-point":
+        assert [r.effective_count for r in records] == [0, want[1][0], 0, 1, want[4][0], 0]
+
+
+def test_all_empty_grid_is_degenerate():
+    smpl = random_sample(200, 2, seed=74, scale=0.2, offset=0.4)
+    grid = evaluation_grid((0.0, 0.1), 2, 4)
+    records = estimate_grid(smpl, grid, EstimatorConfig(p=5.0, h=0.05, kernel=KernelSpec(dimension=2)))
+    assert [r.effective_count for r in records] == [0] * 16
+    with pytest.raises(DegenerateGridError, match="all 16 grid points failed"):
+        sup_error(records, ScalarField.constant(1.0, dimension=2))
+
