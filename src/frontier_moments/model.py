@@ -19,6 +19,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+# imported here, not reached lazily through np.random, so forked study workers inherit it
+from numpy.random import default_rng
 
 SUPPORT = (0.0, 1.0)
 DEFAULT_OMEGA = (0.1, 0.9)
@@ -476,7 +478,7 @@ def sample(model: FrontierModel, n: int, seed: int) -> Sample:
     """Draw n pairs: X by per-coordinate inverse CDF, Y = g(X) * inverse survival."""
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     xs = model.f.ppf(rng.random((n, model.dimension)))
     u = 1.0 - rng.random(n)
     # keep u strictly below 1 so every sampled response is positive

@@ -8,7 +8,8 @@ Two independent routes compute the conditional moment m_p(x) / g(x)^p:
 
   * ``moment_decomposition`` - closed form through the Beta function,
         p * [ C(x) B(p, alpha+1) + D0(x) B(p, alpha+beta+1) ],
-    split into its leading (C) and correction (D0) parts;
+    split into its leading (C) and correction (D0) parts, with log B from
+    ``math.lgamma`` and a Stirling expansion for large arguments;
   * ``moment_brute`` - direct quadrature of p * int y^(p-1) S(y|x) dy
     after the endpoint substitution t = p (1 - y), which maps the
     O(1/p)-wide region carrying the mass onto an O(1) range.
@@ -34,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import gammaln
 
 from .kernels import KernelSpec
 from .model import SUPPORT, FrontierModel, _points, _positive, _tail_fields, _tail_survival, evaluation_grid, field_range
 
-# Stirling tail S(z) in gammaln(z) = (z - 1/2) log z - z + log(2 pi)/2 + S(z);
+# Stirling tail S(z) in log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2 + S(z);
 # coefficients of z^-1, z^-3, ..., z^-9, ample for z >= 32
 _STIRLING_COEF = (
     1.0 / 12.0,
@@ -60,12 +60,28 @@ def _stirling_tail(z):
     return s / z
 
 
+_LGAMMA = np.frompyfunc(math.lgamma, 1, 1)
+
+
+def _lgamma(z):
+    """log Gamma(z) by ``math.lgamma``, called once per distinct value; keeps the shape of z.
+
+    A scalar or 0-d z gives a float.
+    """
+    if np.ndim(z) == 0:
+        return math.lgamma(z)
+    z = np.asarray(z, dtype=float)
+    distinct, inverse = np.unique(z, return_inverse=True)
+    return _LGAMMA(distinct).astype(float)[inverse].reshape(z.shape)
+
+
 def log_beta(p, q):
     """log B(p, q), accurate to a few ulp even for p in the 1e6 range.
 
-    Plain gammaln differencing loses ~p*eps absolute accuracy in the large
-    logs; rewriting the Stirling expansion so the O(p log p) terms cancel
-    analytically keeps the error near machine precision.
+    Plain log-Gamma differencing loses ~p*eps absolute accuracy in the
+    large logs, so entries with max(p, q) >= _ASYMPTOTIC_MIN use a Stirling
+    expansion in which the O(p log p) terms cancel analytically; only the
+    entries below it take the plain difference.
     """
     p_arr = np.asarray(p, dtype=float)
     q_arr = np.asarray(q, dtype=float)
@@ -73,11 +89,14 @@ def log_beta(p, q):
         raise ValueError("Beta arguments must be positive")
     hi = np.maximum(p_arr, q_arr)
     lo = np.minimum(p_arr, q_arr)
-    naive = gammaln(lo) + gammaln(hi) - gammaln(lo + hi)
+    lg_lo = _lgamma(lo)
     with np.errstate(divide="ignore", invalid="ignore"):
         correction = (hi + lo - 0.5) * np.log1p(lo / hi) - lo
-        asym = gammaln(lo) - lo * np.log(hi) - correction + _stirling_tail(hi) - _stirling_tail(hi + lo)
-    out = np.where(hi >= _ASYMPTOTIC_MIN, asym, naive)
+        out = np.array(lg_lo - lo * np.log(hi) - correction + _stirling_tail(hi) - _stirling_tail(hi + lo))
+    naive = hi < _ASYMPTOTIC_MIN
+    if np.any(naive):
+        lo_n, hi_n = lo[naive], hi[naive]
+        out[naive] = np.asarray(lg_lo)[naive] + _lgamma(hi_n) - _lgamma(lo_n + hi_n)
     return float(out) if np.isscalar(p) and np.isscalar(q) else out
 
 
@@ -155,12 +174,14 @@ def moment_brute(model: FrontierModel, x, p: float) -> float:
     fields = tuple(float(v[0]) for v in _tail_fields(model, xs))
     nodes, weights = _BRUTE_NODES
     upper = min(p, 60.0)
+    a, b = np.array(_graded_panels(upper)).T
+    half = 0.5 * (b - a)
+    # one (panels, nodes) array: row k holds panel k's nodes mapped onto [a_k, b_k]
+    u = (half[:, None] * nodes + (0.5 * (b + a))[:, None]) / p
+    vals = np.exp((p - 1.0) * np.log1p(-u)) * _tail_survival(fields, u)
     total = 0.0
-    for a, b in _graded_panels(upper):
-        t = 0.5 * (b - a) * nodes + 0.5 * (b + a)
-        u = t / p
-        vals = np.exp((p - 1.0) * np.log1p(-u)) * _tail_survival(fields, u)
-        total += 0.5 * (b - a) * float(weights @ vals)
+    for panel in half * (vals @ weights):
+        total += float(panel)
     return total
 
 
@@ -303,7 +324,7 @@ def oracle_report(model: FrontierModel) -> dict:
         for zp in z_grid:
             if z == zp:
                 continue
-            true = float(gammaln(z) - gammaln(zp))
+            true = math.lgamma(z) - math.lgamma(zp)
             gap = abs(log_gamma_ratio(z, zp) - true)
             worst_ratio = max(worst_ratio, gap / abs(1.0 / z - 1.0 / zp))
     report["checks"]["log_gamma_ratio"] = {

@@ -1,8 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import gammaln
 
 from frontier_moments import (
@@ -12,6 +13,7 @@ from frontier_moments import (
     KernelSpec,
     MarginalDensity,
     ScalarField,
+    load_model,
     log_beta,
     log_gamma_ratio,
     moment_brute,
@@ -23,7 +25,9 @@ from frontier_moments import (
     smoothed_moment,
     smoothed_ratio,
 )
+from frontier_moments import oracle
 
+ROOT = Path(__file__).resolve().parent.parent
 K1 = KernelSpec(dimension=1)
 X = np.array([0.5])
 
@@ -61,6 +65,77 @@ class TestLogBeta:
             log_beta(0.0, 1.0)
         with pytest.raises(ValueError):
             log_beta(1.0, -2.0)
+
+
+def scipy_log_beta(p, q):
+    """log B(p, q) by plain gammaln differencing: the reference below _ASYMPTOTIC_MIN."""
+    return gammaln(p) + gammaln(q) - gammaln(p + q)
+
+
+class TestLogGammaWithoutScipy:
+    """oracle's math.lgamma path against scipy.special.gammaln."""
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            0.5,
+            3.0,
+            171.25,
+            np.float64(2.5),
+            np.array(7.75),
+            np.array([4.0, 0.3, 4.0, 4.0, 1e6, 0.3]),
+            np.linspace(0.1, 80.0, 33),
+            np.linspace(0.5, 40.0, 12).reshape(3, 4),
+            np.array([[2.0, 2.0], [9.5, 2.0]]),
+        ],
+        ids=["scalar", "integer", "large", "numpy-scalar", "0-d", "repeated", "distinct", "2-d", "2-d-repeated"],
+    )
+    def test_lgamma_matches_gammaln(self, z):
+        got = oracle._lgamma(z)
+        assert np.shape(got) == np.shape(z)
+        if np.ndim(z) == 0:
+            assert type(got) is float
+        assert_allclose(got, gammaln(z), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("p", [0.7, 5.0, 31.0, 31.999, 32.0, 32.5, 100.0, 1e4])
+    def test_log_beta_on_both_sides_of_the_asymptotic_switch(self, p):
+        assert oracle._ASYMPTOTIC_MIN == 32.0
+        for q in (0.3, 1.0, 2.2, 4.5):
+            got = log_beta(p, q)
+            assert type(got) is float
+            # the Stirling route above the switch is the more accurate one; plain
+            # differencing loses about p * eps absolute in the large logs
+            assert_allclose(got, scipy_log_beta(p, q), rtol=1e-13, atol=64 * p * np.finfo(float).eps)
+
+    def test_log_beta_arrays_keep_shape_and_match_elementwise(self):
+        # repeated and distinct entries on both sides of the switch, and a scalar broadcast
+        p = np.array([[5.0, 5.0, 40.0], [31.0, 5.0, 250.0]])
+        q = np.array([[1.5, 1.5, 2.0], [2.5, 0.4, 1.5]])
+        got = log_beta(p, q)
+        assert isinstance(got, np.ndarray) and got.shape == p.shape
+        for i in np.ndindex(p.shape):
+            assert got[i] == log_beta(float(p[i]), float(q[i]))
+        assert_allclose(got, scipy_log_beta(p, q), rtol=1e-13)
+        assert log_beta(100.0, q).shape == q.shape
+        assert_array_equal(log_beta(100.0, q), [[log_beta(100.0, float(v)) for v in row] for row in q])
+
+    def test_log_beta_zero_dimensional_arrays(self):
+        got = log_beta(np.array(5.0), np.array(2.5))
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert got == log_beta(5.0, 2.5)
+        assert_allclose(got, scipy_log_beta(5.0, 2.5), rtol=1e-14)
+        assert log_beta(np.array(50.0), 2.5) == log_beta(50.0, 2.5)
+
+    @pytest.mark.parametrize("p, h", [(5.0, 0.1), (25.0, 0.04), (100.0, 0.01)])
+    def test_plane_2d_smoothed_moment_pinned_to_gammaln(self, monkeypatch, p, h):
+        # with gammaln in place of math.lgamma the oracle computes exactly what it
+        # computed when it depended on scipy; the two agree far inside the 2-d rule's error
+        model = load_model(ROOT / "benchmarks" / "models" / "plane_2d.json")
+        x, k2 = np.array([0.5, 0.5]), KernelSpec(dimension=2)
+        got = smoothed_moment(model, x, p, h, k2)
+        monkeypatch.setattr(oracle, "_lgamma", gammaln)
+        want = smoothed_moment(model, x, p, h, k2)
+        assert_allclose(got, want, rtol=1e-13, atol=0)
 
 
 class TestMomentDecomposition:

@@ -36,9 +36,11 @@ from frontier_moments import (
 from frontier_moments import kernels as kernels_module
 from frontier_moments import moments as moments_module
 from frontier_moments import study as study_module
+from frontier_moments.cli import main as cli_main
 from frontier_moments.moments import _cells_per_axis, window_rows
 
 ROOT = Path(__file__).resolve().parent.parent
+CANONICAL = ROOT / "models" / "canonical.json"
 PROFILES = ["epanechnikov_ball", "biweight_ball", "uniform_ball"]
 
 
@@ -211,11 +213,44 @@ def test_grid_scans_a_fraction_of_the_sample(monkeypatch, path, per_axis):
     assert candidates.max() < n / 4
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # scipy.spatial alone adds about 11 MB of resident memory to every run
-    code = "import sys, frontier_moments.cli; print('scipy.spatial' in sys.modules)"
+SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+
+
+def last_line(code):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # the package needs only numpy; importing scipy.special alone took about 0.24 s and 23 MB per process
+    assert last_line("import frontier_moments.cli\n" + SCIPY_LOADED) == "[]"
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "data.csv"
+    assert cli_main(["simulate", "--model", str(CANONICAL), "--n", "2000", "--seed", "4", "--out", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "mc-study", "oracle-check"])
+def test_cli_commands_leave_scipy_unloaded(tmp_path, dataset, command):
+    out = str(tmp_path / "out")
+    argv = {
+        "simulate": ["simulate", "--model", str(CANONICAL), "--n", "500", "--seed", "1", "--out", out],
+        "estimate": ["estimate", str(dataset), "--p", "20", "--h", "0.1", "--grid", "11", "--out", out],
+        "mc-study": ["mc-study", "--model", str(CANONICAL), "--sizes", "400,900", "--reps", "1", "--grid", "11", "--out", out],
+        "oracle-check": ["oracle-check", "--model", str(CANONICAL), "--out", out],
+    }[command]
+    code = f"from frontier_moments.cli import main\nassert main({argv!r}) == 0\n" + SCIPY_LOADED
+    assert last_line(code) == "[]"
+
+
+def test_package_import_loads_numpy_random():
+    # numpy 2 loads numpy.random lazily, on first use.  Sampling runs only in the
+    # forked workers of an mc-study, so unless the import loads it in the parent,
+    # every worker of every run_study imports numpy.random again (about 14 ms).
+    assert last_line("import sys, frontier_moments\nprint('numpy.random' in sys.modules)") == "True"
 
 
 @pytest.mark.parametrize("d, per_axis, h", [(1, 41, 0.3), (2, 7, 0.4)])
