@@ -6,6 +6,8 @@ coerced only by ``model._points``.  ``KernelSpec.density`` keeps its own
 point.  The sample meets the kernel in one place, ``moments._scan``, and
 ``moments`` adds every window sum with ``np.bincount``, never ``np.sum``:
 one scan and one summation rule, with no second path beside them.
+Dataset text is parsed only by ``study``'s dataset reader: its
+``np.loadtxt`` bulk path and the ``csv.reader`` row loop behind it.
 """
 
 import ast
@@ -28,8 +30,11 @@ def string_constants(source: str) -> list[str]:
     return [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
 
 
-def attribute_sites(module: str, source: str, attrs) -> list[str]:
-    """Qualified name of the function around each use of an attribute named in ``attrs``."""
+def attribute_sites(module: str, source: str, attrs, owner: str | None = None) -> list[str]:
+    """Qualified name of the function around each use of an attribute named in ``attrs``.
+
+    With ``owner``, count only ``<owner>.<attr>``, such as ``csv.reader``.
+    """
     sites = []
 
     def visit(node, scope):
@@ -37,7 +42,9 @@ def attribute_sites(module: str, source: str, attrs) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
             else:
-                if isinstance(child, ast.Attribute) and child.attr in attrs:
+                if isinstance(child, ast.Attribute) and child.attr in attrs and (
+                    owner is None or isinstance(child.value, ast.Name) and child.value.id == owner
+                ):
                     sites.append(".".join([module] + scope))
                 visit(child, scope)
 
@@ -80,6 +87,13 @@ def test_moments_sum_only_by_bincount():
     assert numpy_uses(SOURCES["moments"], "bincount")
 
 
+def test_dataset_text_parsed_only_by_the_dataset_reader():
+    sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"loadtxt"})]
+    assert sites == ["study.read_dataset"]
+    sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"reader"}, "csv")]
+    assert sorted(sites) == ["study._read_dataset_rows", "study.read_dataset"]
+
+
 def test_guard_sees_copies():
     copy = 'def f(x):\n    if not x > 0:\n        raise ValueError("bandwidth h must be positive")\n'
     assert string_constants(copy).count("bandwidth h must be positive") == 1
@@ -88,3 +102,6 @@ def test_guard_sees_copies():
     src = "import numpy as np\ndef f(k, x, xs):\n    return np.sum(k.scaled_density(x, xs, 0.1))\n"
     assert attribute_sites("m", src, {"scaled_density"}) == ["m.f"]
     assert numpy_uses(src, "sum") == [3]
+    src = "import csv\nimport numpy as np\ndef f(fh):\n    return np.loadtxt(fh), csv.reader(fh), fh.reader\n"
+    assert attribute_sites("m", src, {"loadtxt"}) == ["m.f"]
+    assert attribute_sites("m", src, {"reader"}, "csv") == ["m.f"]
