@@ -80,7 +80,12 @@ class KernelSpec:
         u2 = np.atleast_2d(u)
         if u2.shape[1] != self.dimension:
             raise ValueError(f"points have dimension {u2.shape[1]}, kernel expects {self.dimension}")
-        r2 = np.sum(u2**2, axis=1)
+        # squares added column by column, left to right: bit-identical to np.sum(u2**2, axis=1)
+        # for d <= 7 only (numpy's pairwise sum changes order from d = 8); the grid and one-point
+        # paths both call this kernel, so they agree for any d
+        r2 = u2[:, 0] * u2[:, 0]
+        for k in range(1, self.dimension):
+            r2 += u2[:, k] * u2[:, k]
         vals = self.normalization * np.where(r2 < 1.0, (1.0 - r2) ** self.degree, 0.0)
         return float(vals[0]) if single else vals
 

@@ -119,12 +119,17 @@ def _scan(sample: Sample, points: np.ndarray, h: float, kernel: KernelSpec, rows
     positive weight are the windows; M per window comes from
     ``np.maximum.at``, so every t = Y / M lies in (0, 1].
     """
-    weights = kernel.scaled_density(points[seg], sample.xs[rows], h)
-    keep = weights > 0.0
-    seg, w, ys = seg[keep], weights[keep], sample.ys[rows[keep]]
+    # np.take gathers the (m, d) kernel inputs 4x faster than fancy indexing (2.2 vs 9.2 ms per 2-D 16,000-row cell)
+    weights = kernel.scaled_density(np.take(points, seg, axis=0), np.take(sample.xs, rows, axis=0), h)
+    inside = weights > 0.0
+    # filter only if a candidate is outside its window: in d = 1 none usually is, and filtering cost study-1d 7 %
+    if not inside.all():
+        keep = np.flatnonzero(inside)
+        seg, weights, rows = np.take(seg, keep), np.take(weights, keep), np.take(rows, keep)
+    ys = np.take(sample.ys, rows)
     m = np.zeros(points.shape[0])
     np.maximum.at(m, seg, ys)
-    return Windows(seg=seg, w=w, t=ys / m[seg], m=m, count=np.bincount(seg, minlength=points.shape[0]))
+    return Windows(seg=seg, w=weights, t=ys / np.take(m, seg), m=m, count=np.bincount(seg, minlength=points.shape[0]))
 
 
 def point_window(sample: Sample, x, h: float, kernel: KernelSpec) -> Windows:
@@ -232,7 +237,8 @@ def _gather(order, starts, lengths, per_point):
     seg = np.repeat(np.arange(per_point.size), per_point)
     # seg is sorted and each key seg * n + row stays within its point's block, so the sort keeps seg
     base = seg * order.size
-    rows = order[at]
+    # np.take as in _scan; on a 1-D index it gains little over order[at] (0.16 vs 0.18 ms per 2-D 16,000-row cell)
+    rows = np.take(order, at)
     rows += base
     rows.sort()
     rows -= base

@@ -295,10 +295,11 @@ def read_dataset(path) -> Sample:
     Two paths give one result.  The bulk path checks the header, parses the
     body with one ``np.loadtxt`` call and keeps the table only if the file
     holds no ASCII separator byte (0x1c-0x1f), the call raised and warned
-    nothing, every row has d + 1 columns, there is at least one row and every
-    value is finite.  Any other file is read again by the row loop,
-    ``_read_dataset_rows``, whose result or error stands: the loop decides
-    every refusal, with its message, line number and exception type.
+    nothing, every row has d + 1 columns, there is at least one row, every
+    value is finite and every response is positive.  Any other file is read
+    again by the row loop, ``_read_dataset_rows``, whose result or error
+    stands: the loop decides every refusal, with its message, line number and
+    exception type.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -315,7 +316,12 @@ def read_dataset(path) -> Sample:
                 except (ValueError, UserWarning):
                     pass
                 else:
-                    if table.shape[0] >= 1 and table.shape[1] == d + 1 and np.isfinite(table).all():
+                    if (
+                        table.shape[0] >= 1
+                        and table.shape[1] == d + 1
+                        and np.isfinite(table).all()
+                        and (table[:, d] > 0.0).all()
+                    ):
                         # column slices of the table are strided; the loop's arrays are contiguous
                         return Sample(xs=np.ascontiguousarray(table[:, :d]), ys=np.ascontiguousarray(table[:, d]))
     return _read_dataset_rows(path)
@@ -334,9 +340,11 @@ def _read_dataset_rows(path) -> Sample:
         if d < 1 or header != _columns(d, "y"):
             raise DatasetFormatError(f"unexpected header {header!r}; want x_1..x_d,y", line=1)
         xs, ys = [], []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # the physical line the row ends on: a quoted field may hold a newline
+            lineno = reader.line_num
             if len(row) != d + 1:
                 raise DatasetFormatError(f"line {lineno}: expected {d + 1} columns, found {len(row)}", line=lineno)
             try:
@@ -346,6 +354,8 @@ def _read_dataset_rows(path) -> Sample:
             if not all(map(math.isfinite, values)):
                 # well-formed but invalid data: a validation failure, like a nonpositive response
                 raise ValueError(f"line {lineno}: non-finite value in {row!r}")
+            if not values[d] > 0.0:
+                raise ValueError(f"line {lineno}: nonpositive response in {row!r}")
             xs.append(values[:d])
             ys.append(values[d])
     if not xs:

@@ -35,6 +35,11 @@ CORPUS = {
     "subnormal-and-underflow": H1 + b"5e-324,1.0\n1e-400,1.0\n",
     # files only the loop decides
     "nonpositive-response": H1 + b"0.5,1.0\n0.25,0\n",
+    "zero-response-line-4": H1 + b"0.5,1.0\n0.4,0.9\n0.3,0\n0.6,1.1\n",
+    "negative-zero-response": H1 + b"0.5,1.0\n0.25,-0.0\n",
+    "negative-response-d2": H2 + b"0.5,0.5,1.0\n0.5,0.25,-2e-300\n",
+    "quoted-newline-then-bad-row": H1 + b'"0.5\n",1.0\n0.25,x\n',
+    "quoted-newline-then-nonpositive": H1 + b'"0.5\n",1.0\n0.25,0\n',
     "quoted-fields": H1 + b'"0.5","1.0"\n',
     "quoted-then-space": H1 + b'"0.5" ,1.0\n',
     "quoted-embedded-newline": H1 + b'"0.5\n",1.0\n0.25,2.0\n',

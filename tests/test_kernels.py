@@ -113,3 +113,52 @@ def test_dimension_mismatch_rejected():
         k.density(np.array([0.5]))
     with pytest.raises(ValueError):
         k.scaled_density(np.array([0.5, 0.5, 0.5]), np.zeros((4, 3)), 0.1)
+
+
+def density_by_axis_sum(kernel, u):
+    """The kernel as it was written before the column-by-column radius: r^2 by np.sum over axis 1."""
+    u2 = np.atleast_2d(np.asarray(u, dtype=float))
+    r2 = np.sum(u2**2, axis=1)
+    return kernel.normalization * np.where(r2 < 1.0, (1.0 - r2) ** kernel.degree, 0.0)
+
+
+def sphere_points(d):
+    """Points with ||u||^2 exactly 1 in floating point: +-e_k, and (+-1/2)^4 padded with zeros."""
+    eye = np.eye(d)
+    points = [eye, -eye]
+    if d >= 4:
+        half = np.zeros((2, d))
+        half[0, :4] = 0.5
+        half[1, :4] = [-0.5, 0.5, -0.5, 0.5]
+        points.append(half)
+    return np.vstack(points)
+
+
+@pytest.mark.parametrize("profile", ["epanechnikov_ball", "biweight_ball", "uniform_ball"])
+@pytest.mark.parametrize("d", range(1, 8))
+def test_density_equals_the_axis_sum_bit_for_bit(profile, d):
+    k = KernelSpec(profile=profile, dimension=d)
+    rng = np.random.default_rng(100 + d)
+    sphere = sphere_points(d)
+    assert np.all(np.sum(sphere**2, axis=1) == 1.0)
+    directions = rng.normal(size=(300, d))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    u = np.vstack(
+        [
+            sphere,
+            np.nextafter(sphere, 0.0),  # one ulp inside along each nonzero axis
+            np.zeros((1, d)),  # the origin
+            rng.uniform(-1.2, 1.2, size=(2000, d)),
+            directions,  # within rounding of the sphere, on either side
+            directions * (1.0 - 1e-15),
+            rng.uniform(-1e-3, 1e-3, size=(50, d)),
+        ]
+    )
+    got, want = k.density(u), density_by_axis_sum(k, u)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # points on the sphere weigh nothing; the origin weighs the normalization
+    assert np.all(k.density(sphere) == 0.0)
+    assert k.density(np.zeros(d)) == k.normalization
+    for row in u[::97]:
+        assert k.density(row) == float(density_by_axis_sum(k, row)[0])

@@ -410,6 +410,25 @@ class TestEstimateCommand:
         assert main(["estimate", str(data), "--p", "20", "--h", "0.2", "--out", str(tmp_path / "o.csv")]) == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_line_after_a_quoted_newline_is_the_physical_line(self, tmp_path, capsys):
+        # the quoted field spans lines 2 and 3, so the bad row is on line 4, not the third record
+        data = tmp_path / "data.csv"
+        data.write_text('x_1,y\n"0.5\n",1.0\n0.25,x\n')
+        assert main(["estimate", str(data), "--p", "20", "--h", "0.2", "--out", str(tmp_path / "o.csv")]) == 1
+        assert "line 4: non-numeric value in ['0.25', 'x']" in capsys.readouterr().err
+        with pytest.raises(DatasetFormatError) as err:
+            read_dataset(data)
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("bad_row", ["0.3,0", "0.3,-1.5", "0.3,-0.0"])
+    def test_nonpositive_response_exits_2_with_line(self, tmp_path, capsys, bad_row):
+        data = tmp_path / "data.csv"
+        data.write_text(f"x_1,y\n0.5,1.0\n0.4,0.9\n{bad_row}\n0.6,1.1\n")
+        out = tmp_path / "o.csv"
+        assert main(["estimate", str(data), "--p", "20", "--h", "0.2", "--out", str(out)]) == 2
+        assert f"line 4: nonpositive response in {bad_row.split(',')!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad_row", ["nan,1.0", "0.45,inf"])
     def test_non_finite_value_exits_2_with_line(self, tmp_path, capsys, bad_row):
         data = tmp_path / "data.csv"

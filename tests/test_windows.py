@@ -358,6 +358,95 @@ def test_batched_grid_matches_per_point_sums(case, profile):
         assert [r.effective_count for r in records] == [0, want[1][0], 0, 1, want[4][0], 0]
 
 
+def scan_by_fancy_indexing(sample, points, h, kernel, rows, seg):
+    """``moments._scan`` as it was written before ``np.take``: fancy indexing and boolean masks.
+
+    The kernel weights use the axis-1 ``np.sum`` of the squared offsets,
+    as ``KernelSpec.density`` did, so no part of the reference shares the
+    new code.
+    """
+    u = (points[seg] - sample.xs[rows]) / h
+    r2 = np.sum(u**2, axis=1)
+    weights = kernel.normalization * np.where(r2 < 1.0, (1.0 - r2) ** kernel.degree, 0.0) / h**kernel.dimension
+    keep = weights > 0.0
+    seg, w, ys = seg[keep], weights[keep], sample.ys[rows[keep]]
+    m = np.zeros(points.shape[0])
+    np.maximum.at(m, seg, ys)
+    return moments_module.Windows(seg=seg, w=w, t=ys / m[seg], m=m, count=np.bincount(seg, minlength=points.shape[0]))
+
+
+def gather_by_fancy_indexing(order, starts, lengths, per_point):
+    """``moments._gather`` as it was written before ``np.take``."""
+    ends = np.cumsum(lengths)
+    at = np.repeat(starts - (ends - lengths), lengths)
+    at += np.arange(at.size)
+    seg = np.repeat(np.arange(per_point.size), per_point)
+    base = seg * order.size
+    rows = order[at]
+    rows += base
+    rows.sort()
+    rows -= base
+    return rows, seg
+
+
+def plane_2d_sample(n):
+    return sample(load_model(ROOT / "benchmarks" / "models" / "plane_2d.json"), n, seed=75)  # D0 != 0
+
+
+FANCY_INDEXING = {
+    "d1-canonical": (lambda: sample(load_model(CANONICAL), 4000, seed=76), evaluation_grid((0.1, 0.9), 1, 101), 0.03),
+    "d2-plane": (lambda: plane_2d_sample(4000), evaluation_grid((0.1, 0.9), 2, 21), 0.08),
+    "d3-random": (lambda: random_sample(3000, 3, seed=77), evaluation_grid((0.05, 0.95), 3, 6), 0.15),
+    # at h = 0.02 most windows of a 300-point plane sample hold no point or one
+    "d2-tiny-h": (lambda: plane_2d_sample(300), evaluation_grid((0.1, 0.9), 2, 31), 0.02),
+    "d1-gaps-and-one-point": (gapped_sample, [[0.0], [0.3], [0.45], [0.51], [0.7], [1.0]], 0.05),
+}
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("case", sorted(FANCY_INDEXING))
+def test_scan_equals_the_fancy_indexing_scan(monkeypatch, case, profile):
+    make, grid, h = FANCY_INDEXING[case]
+    smpl, grid = make(), np.asarray(grid, dtype=float)
+    config = EstimatorConfig(p=12.0, h=h, kernel=KernelSpec(profile=profile, dimension=smpl.dimension), a=1.5)
+    got = estimate_grid(smpl, grid, config)
+    windows = list(moments_module.grid_windows(smpl, grid, h, config.kernel))
+    with monkeypatch.context() as m:
+        m.setattr(moments_module, "_scan", scan_by_fancy_indexing)
+        m.setattr(moments_module, "_gather", gather_by_fancy_indexing)
+        want = estimate_grid(smpl, grid, config)
+        want_windows = list(moments_module.grid_windows(smpl, grid, h, config.kernel))
+    assert len(got) == len(want) == grid.shape[0]
+    for g, w in zip(got, want):
+        assert (g.x, g.g_hat, g.effective_count, g.raw_inverse) == (w.x, w.g_hat, w.effective_count, w.raw_inverse)
+    assert len(windows) == len(want_windows)
+    for (points, win), (want_points, want_win) in zip(windows, want_windows):
+        assert points.tobytes() == want_points.tobytes()
+        for field in ("seg", "w", "t", "m", "count"):
+            a, b = getattr(win, field), getattr(want_win, field)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    counts = {r.effective_count for r in got}
+    if "tiny-h" in case or "one-point" in case:
+        assert {0, 1} <= counts
+    else:
+        assert min(counts) > 1
+    # the scan filters its candidates only when some lie outside their window: cover both
+    candidates = sum(rows.size for _, rows, _ in window_rows(smpl, grid, h))
+    in_windows = sum(r.effective_count for r in got)
+    assert (candidates == in_windows) == case.startswith("d1")
+
+
+def test_grid_equals_one_point_path_in_9d():
+    # beyond d = 7 the column-by-column radius no longer matches np.sum's order; both paths share it
+    smpl = random_sample(400, 9, seed=78)
+    grid = np.random.default_rng(79).uniform(0.3, 0.7, size=(6, 9))
+    for profile in PROFILES:
+        config = EstimatorConfig(p=4.0, h=0.9, kernel=KernelSpec(profile=profile, dimension=9))
+        records = estimate_grid(smpl, grid, config)
+        assert records == full_scan(smpl, grid, config)
+        assert min(r.effective_count for r in records) > 1
+
+
 def test_all_empty_grid_is_degenerate():
     smpl = random_sample(200, 2, seed=74, scale=0.2, offset=0.4)
     grid = evaluation_grid((0.0, 0.1), 2, 4)
