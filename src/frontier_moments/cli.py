@@ -23,6 +23,7 @@ from .model import (
     DEFAULT_OMEGA,
     FrontierModel,
     ModelError,
+    dump_json,
     evaluation_grid,
     field_range,
     load_model,
@@ -33,7 +34,6 @@ from .oracle import oracle_report
 from .study import (
     DatasetFormatError,
     StudyConfig,
-    dump_json,
     read_dataset,
     run_study,
     write_dataset,

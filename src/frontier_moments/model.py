@@ -44,7 +44,7 @@ def _float(value, what: str) -> float:
     if not isinstance(value, (bool, str, bytes)):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ModelError(f"{what} must be a number, got {value!r}")
 
@@ -316,15 +316,22 @@ class Sample:
         return self.xs.shape[1]
 
 
+def _tensor(axis, d: int) -> np.ndarray:
+    """Every d-tuple of ``axis``, last coordinate fastest: C-contiguous, shape (len(axis)**d, d), axis's dtype."""
+    axis = np.asarray(axis)
+    out = np.empty(axis.shape * d + (d,), dtype=axis.dtype)
+    for j in range(d):
+        out[..., j] = axis.reshape(axis.shape + (1,) * (d - 1 - j))
+    return out.reshape(axis.size**d, d)
+
+
 def evaluation_grid(omega: tuple[float, float], dimension: int, per_axis: int) -> np.ndarray:
     """Equispaced grid over omega^dimension, row-major, shape (per_axis^d, d)."""
     if per_axis < 1:
         raise ValueError("grid needs at least one point per axis")
     if not omega[0] < omega[1]:
         raise ValueError(f"grid window needs lo < hi, got ({omega[0]}, {omega[1]})")
-    axes = np.linspace(omega[0], omega[1], per_axis)
-    mesh = np.meshgrid(*([axes] * dimension), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    return _tensor(np.linspace(omega[0], omega[1], per_axis), dimension)
 
 
 # ---------------------------------------------------------------------------
@@ -514,15 +521,14 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
-def _default_validation_resolution(d: int) -> int:
-    # 256 points per axis up to d = 2; beyond that cap the total grid size
-    return 256 if d <= 2 else max(2, int(round(65536 ** (1.0 / d))))
+def _support_grid(d: int, per_axis: int) -> np.ndarray:
+    """Equispaced grid over SUPPORT^d: per_axis points per axis, at most max(2, round(65536 ** (1/d)))."""
+    return evaluation_grid(SUPPORT, d, min(per_axis, max(2, round(65536 ** (1.0 / d)))))
 
 
 def validate(model: FrontierModel) -> ValidationReport:
-    """Check the model invariants on a grid; returns failures, never raises."""
-    d = model.dimension
-    grid = evaluation_grid(SUPPORT, d, _default_validation_resolution(d))
+    """Check the model invariants on a support grid of 256 points per axis, capped; returns failures, never raises."""
+    grid = _support_grid(model.dimension, 256)
     al, be, cc, dd = _tail_fields(model, grid)
 
     mass = cc + dd
@@ -550,8 +556,8 @@ def validate(model: FrontierModel) -> ValidationReport:
 
 
 def field_range(field: ScalarField) -> tuple[float, float]:
-    """(min, max) of a scalar field over a 129-point-per-axis grid on the full support."""
-    grid = evaluation_grid(SUPPORT, field.dimension, 129)
+    """(min, max) of a scalar field over a support grid of 129 points per axis, capped as in ``validate``."""
+    grid = _support_grid(field.dimension, 129)
     vals = field.values(grid)
     return float(vals.min()), float(vals.max())
 
@@ -592,6 +598,8 @@ def model_from_dict(spec: dict) -> FrontierModel:
     if not dimension.is_integer():
         raise ModelError(f"field 'dimension' must be a whole number, got {dimension!r}")
     d = int(dimension)
+    if not 1 <= d <= 16:  # from 17 axes on, even 2 points per axis make a support grid of over 65536 points
+        raise ModelError(f"field 'dimension' must be between 1 and 16, got {d}")
     f_spec = spec.get("f")
     if f_spec is None:
         f = CovariateDensity.uniform(d)
@@ -639,7 +647,11 @@ def load_model(path) -> FrontierModel:
         return model_from_dict(json.load(fh))
 
 
-def save_model(model: FrontierModel, path) -> None:
+def dump_json(payload: dict, path) -> None:
+    """Write ``payload`` as JSON: sorted keys, indent 2, a trailing newline."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def save_model(model: FrontierModel, path) -> None:
+    dump_json(model_to_dict(model), path)

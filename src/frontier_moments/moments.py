@@ -20,14 +20,13 @@ one-point value at that point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import KernelSpec
-from .model import Sample, _points, _positive
+from .model import Sample, _points, _positive, _tensor
 
 # most candidate rows one batched scan holds at once; a grid with more is scanned in chunks.
 # At 2**14 each transient array is 128 KB: larger chunks raised the studies' peak RSS and ran no faster.
@@ -202,9 +201,7 @@ def window_rows(sample: Sample, grid, h: float):
     first = np.clip(cell(lower[:, :-1]), 0, count).astype(np.int64)
     last = np.clip(cell(upper[:, :-1]), -1, count - 1).astype(np.int64)
     reach = int(np.max(last - first, initial=0)) + 1
-    offsets = np.array(list(itertools.product(range(reach), repeat=d - 1)), dtype=np.int64)
-    offsets = offsets.reshape(reach ** (d - 1), d - 1)
-    cells = first[:, None, :] + offsets
+    cells = first[:, None, :] + _tensor(np.arange(reach, dtype=np.int64), d - 1)
     valid = np.all(cells <= last[:, None, :], axis=2)
     base = (cells @ strides) * n
     sorted_last = xs[by_last, -1]

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .kernels import KernelSpec
-from .model import SUPPORT, FrontierModel, _points, _positive, _tail_fields, _tail_survival, evaluation_grid, field_range
+from .model import SUPPORT, FrontierModel, _points, _positive, _tail_fields, _tail_survival, _tensor, evaluation_grid, field_range
 
 # Stirling tail S(z) in log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2 + S(z);
 # coefficients of z^-1, z^-3, ..., z^-9, ample for z >= 32
@@ -136,13 +136,7 @@ def moment_ratio_exact(model: FrontierModel, x, p: float) -> float:
 _BRUTE_NODES = leggauss(48)
 _BALL_NODES, _BALL_WEIGHTS = leggauss(64)
 # tensor Gauss-Legendre rules on [-1, 1]^d for the smoothed moment, keyed by d
-_BALL_RULES = {
-    1: (_BALL_NODES.reshape(-1, 1), _BALL_WEIGHTS),
-    2: (
-        np.stack([m.ravel() for m in np.meshgrid(_BALL_NODES, _BALL_NODES, indexing="ij")], axis=1),
-        np.outer(_BALL_WEIGHTS, _BALL_WEIGHTS).ravel(),
-    ),
-}
+_BALL_RULES = {d: (_tensor(_BALL_NODES, d), _tensor(_BALL_WEIGHTS, d).prod(axis=1)) for d in (1, 2)}
 _GRADING_LEVELS = 30
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 import multiprocessing
 import signal
@@ -34,7 +33,7 @@ from .estimator import (
     w_rate,
 )
 from .kernels import KernelSpec
-from .model import FrontierModel, Sample, evaluation_grid, field_range, model_to_dict, sample
+from .model import FrontierModel, Sample, dump_json, evaluation_grid, field_range, model_to_dict, sample
 from .moments import scaled_moments
 from .oracle import smoothed_moment
 
@@ -372,10 +371,6 @@ def write_estimates(records, path) -> None:
         writer.writerow(_columns(d, "g_hat", "effective_count", "raw_inverse"))
         # csv writes a float as its repr, an int with str and None as an empty field
         writer.writerows([*r.x, r.g_hat, r.effective_count, r.raw_inverse] for r in records)
-
-
-def dump_json(payload: dict, path) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def write_report(report: dict, timing: dict, path) -> None:

@@ -430,6 +430,9 @@ class TestModelConfig:
         path = tmp_path / "model.json"
         save_model(CANONICAL, path)
         assert load_model(path) == CANONICAL
+        again = tmp_path / "again.json"
+        model_module.dump_json(model_to_dict(CANONICAL), again)
+        assert path.read_bytes() == again.read_bytes()
 
     def test_defaults_fill_in(self):
         spec = {"dimension": 1, "g": {"kind": "constant", "a": 1.0}, "alpha": {"kind": "constant", "a": 1.0}}

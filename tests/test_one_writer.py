@@ -8,6 +8,8 @@ point.  The sample meets the kernel in one place, ``moments._scan``, and
 one scan and one summation rule, with no second path beside them.
 Dataset text is parsed only by ``study``'s dataset reader: its
 ``np.loadtxt`` bulk path and the ``csv.reader`` row loop behind it.
+Every tensor product comes from ``model._tensor``: no ``np.meshgrid``,
+``np.outer`` or ``itertools`` beside it.
 """
 
 import ast
@@ -66,6 +68,17 @@ def numpy_uses(source: str, name: str) -> list[int]:
     ]
 
 
+def imported_modules(source: str) -> list[str]:
+    """Top-level name of each module ``source`` imports."""
+    names = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Import):
+            names += [a.name.split(".")[0] for a in n.names]
+        elif isinstance(n, ast.ImportFrom) and n.module and not n.level:
+            names.append(n.module.split(".")[0])
+    return names
+
+
 @pytest.mark.parametrize("message", MESSAGES)
 def test_positivity_message_written_once(message):
     count = sum(string_constants(src).count(message) for src in SOURCES.values())
@@ -94,6 +107,12 @@ def test_dataset_text_parsed_only_by_the_dataset_reader():
     assert sorted(sites) == ["study._read_dataset_rows", "study.read_dataset"]
 
 
+def test_tensor_products_built_only_by_the_grid_builder():
+    for module, src in SOURCES.items():
+        assert numpy_uses(src, "meshgrid") == [] and numpy_uses(src, "outer") == [], module
+        assert "itertools" not in imported_modules(src), module
+
+
 def test_guard_sees_copies():
     copy = 'def f(x):\n    if not x > 0:\n        raise ValueError("bandwidth h must be positive")\n'
     assert string_constants(copy).count("bandwidth h must be positive") == 1
@@ -105,3 +124,6 @@ def test_guard_sees_copies():
     src = "import csv\nimport numpy as np\ndef f(fh):\n    return np.loadtxt(fh), csv.reader(fh), fh.reader\n"
     assert attribute_sites("m", src, {"loadtxt"}) == ["m.f"]
     assert attribute_sites("m", src, {"reader"}, "csv") == ["m.f"]
+    src = "import itertools\nfrom itertools import product\nimport numpy as np\ng = np.meshgrid(a, a), np.outer(a, a)\n"
+    assert imported_modules(src) == ["itertools", "itertools", "numpy"]
+    assert numpy_uses(src, "meshgrid") == [4] and numpy_uses(src, "outer") == [4]

@@ -3,7 +3,12 @@
 A point in dimension d is a sequence of d coordinates; in d = 1 a flat
 sequence holds one coordinate per point.  Any other shape raises a
 ValueError naming the expected coordinate count.
+
+Every tensor-product grid comes from one builder, ``model._tensor``, and
+every grid over the whole support takes its size from one rule.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -11,9 +16,12 @@ import pytest
 from frontier_moments import (
     EstimatorConfig,
     KernelSpec,
+    ScalarField,
     effective_count,
     estimate_at,
     estimate_grid,
+    evaluation_grid,
+    field_range,
     model_from_dict,
     moment_brute,
     moment_decomposition,
@@ -29,7 +37,11 @@ from frontier_moments import (
     smoothed_ratio,
     survival,
     survival_values,
+    validate,
 )
+from frontier_moments import model as model_module
+from frontier_moments import oracle as oracle_module
+from frontier_moments.model import _tensor
 from frontier_moments.moments import window_rows
 
 SPECS = {
@@ -105,3 +117,60 @@ def test_flat_grid_in_one_dimension_is_one_point_per_entry():
 def test_record_holds_the_point_that_was_evaluated():
     assert estimate_at(SAMPLES[1], 0.5, CONFIGS[1]).x == (0.5,)
     assert estimate_at(SAMPLES[2], np.array([[0.4, 0.6]]), CONFIGS[2]).x == (0.4, 0.6)
+
+
+AXES = [np.linspace(0.1, 0.9, k) for k in (1, 2, 5)] + [np.arange(k, dtype=np.int64) for k in (1, 3)]
+
+
+@pytest.mark.parametrize("d", range(5))
+@pytest.mark.parametrize("axis", AXES)
+def test_tensor_is_the_product_in_row_major_order(d, axis):
+    # at d = 0 the product is one empty tuple: shape (1, 0), in the axis's dtype
+    got = _tensor(axis, d)
+    want = np.array(list(itertools.product(axis, repeat=d)), dtype=axis.dtype).reshape(len(axis) ** d, d)
+    assert got.shape == (len(axis) ** d, d)
+    assert got.dtype == axis.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, k", [(1, 101), (1, 256), (2, 21), (2, 129), (2, 256), (3, 40)])
+def test_evaluation_grid_equals_the_meshgrid_stack(d, k):
+    axis = np.linspace(0.1, 0.9, k)
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    assert np.array_equal(evaluation_grid((0.1, 0.9), d, k), np.stack([m.ravel() for m in mesh], axis=1))
+
+
+def test_ball_rules_equal_the_outer_product():
+    nodes, weights = oracle_module._BALL_NODES, oracle_module._BALL_WEIGHTS
+    u, w = oracle_module._ball_rule(1)
+    assert np.array_equal(u, nodes.reshape(-1, 1)) and np.array_equal(w, weights)
+    u, w = oracle_module._ball_rule(2)
+    mesh = np.meshgrid(nodes, nodes, indexing="ij")
+    assert np.array_equal(u, np.stack([m.ravel() for m in mesh], axis=1))
+    assert np.array_equal(w, np.outer(weights, weights).ravel())
+
+
+class _Asked(Exception):
+    pass
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_support_grids_take_one_size_rule(monkeypatch, d):
+    # the builder records what it is asked for and raises, so no grid is allocated
+    asked = []
+
+    def record(omega, dimension, per_axis):
+        asked.append((per_axis, per_axis**dimension))
+        raise _Asked
+
+    monkeypatch.setattr(model_module, "evaluation_grid", record)
+    spec = {"dimension": d, "g": {"kind": "constant", "a": 1.0}, "alpha": {"kind": "constant", "a": 1.0}}
+    with pytest.raises(_Asked):
+        validate(model_from_dict(spec))
+    with pytest.raises(_Asked):
+        field_range(ScalarField.constant(1.0, dimension=d))
+    (v_axis, v_points), (f_axis, f_points) = asked
+    assert v_axis == (256 if d <= 2 else max(2, int(round(65536 ** (1.0 / d)))))
+    assert f_axis == min(129, v_axis)
+    # rounding lets the cap pass 65,536 points at d = 7, 11 and 12, on validate's grid as well
+    assert f_points <= max(65536, v_points)

@@ -351,13 +351,18 @@ class TestSimulateCommand:
             ({**FLAT_SPEC, "dimension": "1"}, "'dimension'"),
             ({**FLAT_SPEC, "alpha": {"kind": "constant", "a": "1.0"}}, "'alpha'"),
             ({**FLAT_SPEC, "eta_g": "1.0"}, "'eta_g'"),
+            ({**FLAT_SPEC, "dimension": 0}, "'dimension'"),
+            ({**FLAT_SPEC, "dimension": 17}, "'dimension'"),
+            ({**FLAT_SPEC, "dimension": 1000}, "'dimension'"),
+            ({**FLAT_SPEC, "dimension": 10**400}, "'dimension'"),
         ],
         ids=["field-without-a", "field-not-object", "field-without-kind", "omega-one-number",
              "omega-scalar", "omega-strings", "top-level-list", "dimension-null", "dimension-fractional",
              "f-number", "f-list-of-number", "f-object", "f-slope-null", "field-a-null", "affine-b-null",
              "eta-g-null", "eta-alpha-list", "eta-alpha-nan", "eta-g-negative", "field-a-text", "affine-b-text",
              "affine-b-nested", "dimension-bool", "field-a-bool", "eta-g-bool", "omega-bools", "dimension-text",
-             "field-a-numeric-text", "eta-g-text"],
+             "field-a-numeric-text", "eta-g-text", "dimension-zero", "dimension-17", "dimension-1000",
+             "dimension-beyond-float"],
     )
     def test_malformed_model_exits_2_naming_field(self, model_file, tmp_path, capsys, spec, named):
         model = model_file(spec)
