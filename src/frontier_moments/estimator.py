@@ -45,6 +45,9 @@ class EstimatorConfig:
             raise ValueError("moment power p must be at least 1")
         if not 0.0 < self.h < 1.0:
             raise ValueError("bandwidth h must lie in (0, 1)")
+        for name, value in (("moment power p", self.p), ("order multiplier a", self.a)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,6 +127,8 @@ def rate_exponents(d: int, eta_g: float, alpha_bar: float) -> tuple[float, float
     """
     if d < 1 or not eta_g > 0 or not alpha_bar > 0:
         raise ValueError("dimension, smoothness and tail exponents must be positive")
+    if not math.isfinite(alpha_bar):
+        raise ValueError(f"tail exponent bound alpha_bar must be finite, got {alpha_bar!r}")
     denom = d + alpha_bar * eta_g
     return eta_g / denom, 1.0 / denom
 
@@ -158,8 +163,11 @@ class RateSchedule:
 
     def __post_init__(self) -> None:
         for name in ("c1", "c2", "eta_g", "alpha_bar", "k1", "k2"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ScheduleError(f"schedule parameter {name} must be positive")
+            if not math.isfinite(value):
+                raise ScheduleError(f"schedule parameter {name} must be finite, got {value!r}")
         if self.d < 1:
             raise ScheduleError("dimension d must be a positive integer")
         used = self.alpha_bar * self.c1 + self.d * self.c2

@@ -12,13 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-import multiprocessing
+import os
+import pickle
 import signal
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -106,7 +107,6 @@ def run_cell(model: FrontierModel, grid, config: EstimatorConfig, w: float, cell
     """One study cell: draw its sample, estimate on the grid, take the sup-error.
 
     ``cell`` is (n, replication, seed); returns (report row, wall seconds).
-    Every input is an argument, so a worker process can run it.
     """
     n, rep, seed = cell
     start = time.perf_counter()
@@ -130,16 +130,88 @@ def run_cell(model: FrontierModel, grid, config: EstimatorConfig, w: float, cell
     return result, elapsed
 
 
-def _ignore_interrupt() -> None:
-    # Ctrl-C reaches the whole process group; only the parent acts on it
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _map_cells(fn, tasks, workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, spread over ``workers`` processes in total.
+
+    With w = min(workers, len(tasks)), task k belongs to share k % w.  The
+    caller forks one child for each of shares 1..w-1, then runs share 0
+    itself; each child runs its share in order and pickles (ok, results or
+    its first exception with its traceback text) into its own pipe.  The
+    caller reads the pipes in share order and raises the first error, its
+    own share's first; a child's error is raised from a RuntimeError that
+    holds the child's traceback.  Every child still alive when this returns
+    or raises is killed and reaped.
+    """
+    w = min(workers, len(tasks))
+    if w <= 1:
+        return [fn(*task) for task in tasks]
+    ordered = [None] * len(tasks)
+    pipes, pids = {}, {}  # by share: read ends to close, children to reap
+    try:
+        for s in range(1, w):
+            read_end, write_end = os.pipe()
+            pipes[s] = open(read_end, "rb")
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _serve_share(fn, tasks[s::w], write_end)
+            finally:
+                os.close(write_end)
+            pids[s] = pid
+        ordered[0::w] = [fn(*task) for task in tasks[0::w]]
+        for s in range(1, w):
+            data = pipes[s].read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pids.pop(s), 0)[1])
+            if code != 0 or not data:
+                raise RuntimeError(f"study worker {s} exited with code {code} and returned no result")
+            ok, outcome = pickle.loads(data)
+            if not ok:
+                err, text = outcome
+                raise err from RuntimeError(f"traceback in study worker {s}:\n{text}")
+            ordered[s::w] = outcome
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes.values():
+            pipe.close()
+    return ordered
+
+
+def _serve_share(fn, share, write_end: int) -> NoReturn:
+    """A forked child's whole life: run ``share`` in order, pickle the outcome into ``write_end``, exit."""
+    code = 1
+    try:
+        # Ctrl-C reaches the whole process group; only the caller acts on it
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        text = ""
+        try:
+            outcome = True, [fn(*task) for task in share]
+        except Exception as err:
+            import traceback  # only a failing child pays for it
+
+            # a traceback does not pickle; its text goes back beside the exception
+            text = traceback.format_exc()
+            outcome = False, (err, text)
+        try:
+            data = pickle.dumps(outcome)
+        except Exception as err:  # an exception or result holding something pickle refuses
+            data = pickle.dumps((False, (RuntimeError(f"study worker result cannot be pickled: {err!r}"), text)))
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+        code = 0
+    finally:
+        # never return into the caller's code, and run none of its exit handlers
+        os._exit(code)
 
 
 def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tuple[dict, dict]:
     """Run the full study; returns (report, timing) dictionaries.
 
-    With ``workers`` > 1 the cells run in that many forked processes.  The
-    report is independent of ``workers``; only the timing dict varies.
+    ``workers`` counts processes in total, the caller included: with N > 1
+    the caller forks N - 1 children and runs cells 0, N, 2N, ... itself
+    (``_map_cells``).  The report is independent of ``workers``; only the
+    timing dict varies.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -148,14 +220,7 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
     estimators = {n: EstimatorConfig(p=p, h=h, kernel=kernel, a=config.a) for n, (p, h) in scheduled.items()}
     tasks = [(model, grid, estimators[n], w_by_size[n], (n, rep, seed)) for n, rep, seed in cells]
 
-    if workers == 1:
-        outcomes = [run_cell(*task) for task in tasks]
-    else:
-        # fork: a worker inherits the imported package and starts at once; map yields
-        # in cell order and cancels the queued cells when one fails or on Ctrl-C
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=context, initializer=_ignore_interrupt) as pool:
-            outcomes = list(pool.map(run_cell, *zip(*tasks)))
+    outcomes = _map_cells(run_cell, tasks, workers)
     results = [r for r, _ in outcomes]
     timings = [{"n": r["n"], "replication": r["replication"], "wall_time_s": t} for r, t in outcomes]
 

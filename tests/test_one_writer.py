@@ -9,7 +9,9 @@ one scan and one summation rule, with no second path beside them.
 Dataset text is parsed only by ``study``'s dataset reader: its
 ``np.loadtxt`` bulk path and the ``csv.reader`` row loop behind it.
 Every tensor product comes from ``model._tensor``: no ``np.meshgrid``,
-``np.outer`` or ``itertools`` beside it.
+``np.outer`` or ``itertools`` beside it.  Processes are forked only by
+``study._map_cells``, with no ``multiprocessing`` or ``concurrent`` pool
+beside it.
 """
 
 import ast
@@ -113,6 +115,13 @@ def test_tensor_products_built_only_by_the_grid_builder():
         assert "itertools" not in imported_modules(src), module
 
 
+def test_processes_forked_only_by_the_cell_dispatcher():
+    sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"fork"}, "os")]
+    assert sites == ["study._map_cells"]
+    for module, src in SOURCES.items():
+        assert not {"multiprocessing", "concurrent"} & set(imported_modules(src)), module
+
+
 def test_guard_sees_copies():
     copy = 'def f(x):\n    if not x > 0:\n        raise ValueError("bandwidth h must be positive")\n'
     assert string_constants(copy).count("bandwidth h must be positive") == 1
@@ -127,3 +136,6 @@ def test_guard_sees_copies():
     src = "import itertools\nfrom itertools import product\nimport numpy as np\ng = np.meshgrid(a, a), np.outer(a, a)\n"
     assert imported_modules(src) == ["itertools", "itertools", "numpy"]
     assert numpy_uses(src, "meshgrid") == [4] and numpy_uses(src, "outer") == [4]
+    src = "import os\nimport multiprocessing.pool\nfrom concurrent.futures import ProcessPoolExecutor\ndef f():\n    return os.fork()\n"
+    assert attribute_sites("m", src, {"fork"}, "os") == ["m.f"]
+    assert imported_modules(src) == ["os", "multiprocessing", "concurrent"]

@@ -1,7 +1,11 @@
+import contextlib
 import csv
 import json
+import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -263,19 +267,55 @@ def failing_sample(err):
     return sample_in_cell
 
 
+def sample_failing_in(where, err):
+    """A sampler that raises ``err`` only in the calling process or only in its forked children."""
+    caller = os.getpid()
+
+    def sample_in_cell(model, n, seed):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise err
+        return sample(model, n, seed)
+
+    return sample_in_cell
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError inside the block once it has run ``seconds``; forked children keep no timer."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestWorkerProcesses:
     @pytest.mark.parametrize("name", sorted(MODEL_FILES))
     def test_reports_byte_identical_at_one_two_and_three_workers(self, name):
+        # 4 cells: 7 workers also checks a count above the number of cells
         model = load_model(MODEL_FILES[name])
         sched = RateSchedule.optimal(model.dimension, model.eta_g, field_range(model.alpha)[1])
         config = StudyConfig(sizes=(400, 900), replications=2, schedule=sched, grid_per_axis=9, base_seed=5)
         reports = []
-        for workers in (1, 2, 3):
+        for workers in (1, 2, 3, 7):
             report, timing = run_study(model, config, workers=workers)
             assert [(t["n"], t["replication"]) for t in timing["cells"]] == [(c["n"], c["replication"]) for c in report["cells"]]
             reports.append(json.dumps(report, sort_keys=True))
+            assert_no_children()
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
+        assert reports[3] == reports[0]
 
     @pytest.mark.parametrize("err", CELL_ERRORS, ids=lambda e: type(e).__name__)
     def test_cell_error_reaches_the_caller(self, monkeypatch, err):
@@ -285,6 +325,71 @@ class TestWorkerProcesses:
             run_study(canonical_model(), small_study_config(), workers=2)
         assert str(caught.value) == str(err)
         assert vars(caught.value) == vars(err)
+        assert_no_children()
+
+    @pytest.mark.parametrize("where", ["child", "caller"])
+    @pytest.mark.parametrize("err", CELL_ERRORS, ids=lambda e: type(e).__name__)
+    def test_error_in_one_process_reaches_the_caller(self, monkeypatch, err, where):
+        monkeypatch.setattr(study_module, "sample", sample_failing_in(where, err))
+        with time_limit(60), pytest.raises(type(err)) as caught:
+            run_study(canonical_model(), small_study_config(), workers=2)
+        assert str(caught.value) == str(err)
+        assert vars(caught.value) == vars(err)
+        if where == "child":
+            # the child's traceback comes back as text, down to the line that raised
+            assert "in sample_in_cell" in str(caught.value.__cause__)
+        assert_no_children()
+
+    @pytest.mark.parametrize("failing, first", [({0, 1, 2, 3, 4, 5}, 0), ({1, 2, 3}, 3), ({2, 4}, 4)])
+    def test_first_error_in_share_order_wins(self, monkeypatch, failing, first):
+        # 6 cells over 3 processes: the caller runs cells 0 and 3, the children 1, 4 and 2, 5
+        config = small_study_config()
+
+        def sample_in_cell(model, n, seed):
+            cell = (seed - config.base_seed) // study_module.SEED_STRIDE
+            if cell in failing:
+                raise ValueError(f"cell {cell}")
+            return sample(model, n, seed)
+
+        monkeypatch.setattr(study_module, "sample", sample_in_cell)
+        with time_limit(60), pytest.raises(ValueError, match=f"^cell {first}$"):
+            run_study(canonical_model(), config, workers=3)
+        assert_no_children()
+
+    def test_child_that_dies_without_a_result_is_named(self, monkeypatch):
+        caller = os.getpid()
+
+        def sample_in_cell(model, n, seed):
+            if os.getpid() != caller:
+                os._exit(3)
+            return sample(model, n, seed)
+
+        monkeypatch.setattr(study_module, "sample", sample_in_cell)
+        with time_limit(60), pytest.raises(RuntimeError, match="study worker 1 exited with code 3"):
+            run_study(canonical_model(), small_study_config(), workers=2)
+        assert_no_children()
+
+    def test_unpicklable_child_error_is_named(self, monkeypatch):
+        err = ValueError("holds a lambda")
+        err.hook = lambda: None
+        monkeypatch.setattr(study_module, "sample", sample_failing_in("child", err))
+        with time_limit(60), pytest.raises(RuntimeError, match="study worker result cannot be pickled"):
+            run_study(canonical_model(), small_study_config(), workers=2)
+        assert_no_children()
+
+    def test_interrupt_in_the_caller_kills_the_children(self, monkeypatch):
+        # the children would sleep far past the limit: the caller must kill them, not wait
+        caller = os.getpid()
+
+        def sample_in_cell(model, n, seed):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(600)
+
+        monkeypatch.setattr(study_module, "sample", sample_in_cell)
+        with time_limit(30), pytest.raises(KeyboardInterrupt):
+            run_study(canonical_model(), small_study_config(), workers=3)
+        assert_no_children()
 
     @pytest.mark.parametrize(
         "err, code", [(None, 0), (CELL_ERRORS[0], 2), (ValueError("responses must be finite"), 2), (CELL_ERRORS[2], 1)]
@@ -403,6 +508,18 @@ class TestEstimateCommand:
         write_dataset(Sample(xs=rng.random((50, 1)), ys=np.ones(50)), data)
         assert main(["estimate", str(data), "--p", "20", "--h", "0", "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("flag, named", [("--p", "moment power p"), ("--a", "order multiplier a")])
+    def test_infinite_power_or_order_exits_2(self, tmp_path, capsys, flag, named):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.csv"
+        write_dataset(Sample(xs=rng.random((50, 1)), ys=np.ones(50)), data)
+        out = tmp_path / "o.csv"
+        args = {"--p": "20", "--a": "1", flag: "inf"}
+        argv = ["estimate", str(data), "--h", "0.2", "--out", str(out)] + [t for kv in args.items() for t in kv]
+        assert main(argv) == 2
+        assert f"{named} must be finite, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unparseable_row_exits_1_with_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("x_1,y\n0.5,1.0\nbroken\n")
@@ -504,6 +621,25 @@ class TestMcStudyCommand:
         ])
         assert code == 2
         assert "workers" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, named",
+        [
+            ("--a", "order multiplier a"),
+            ("--k1", "schedule parameter k1"),
+            ("--k2", "schedule parameter k2"),
+            ("--alpha-bar", "tail exponent bound alpha_bar"),
+        ],
+    )
+    def test_infinite_order_or_constant_exits_2(self, model_file, tmp_path, capsys, flag, named):
+        out = tmp_path / "r.json"
+        code = main([
+            "mc-study", "--model", model_file(CANONICAL_SPEC), "--sizes", "400,900", "--reps", "1",
+            "--grid", "5", flag, "inf", "--out", str(out),
+        ])
+        assert code == 2
+        assert f"{named} must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
 
     def test_schedule_violation_fails_before_any_work(self, model_file, tmp_path):
