@@ -177,7 +177,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except DatasetFormatError as err:
         return _fail(str(err), EXIT_IO)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as err:
+    except OSError as err:
+        # a missing or unwritable path, a full disk
         return _fail(str(err), EXIT_IO)
     except json.JSONDecodeError as err:
         return _fail(f"malformed JSON: {err}", EXIT_IO)

@@ -58,11 +58,6 @@ class ScaledMoment:
         return self.count == 0
 
     @property
-    def value(self) -> float:
-        """Reconstructed moment; may overflow for extreme scales, by design."""
-        return self.mantissa * math.exp(self.log_scale)
-
-    @property
     def log_value(self) -> float:
         if self.mantissa <= 0.0:
             return -math.inf

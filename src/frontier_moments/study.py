@@ -9,12 +9,14 @@ deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import os
 import pickle
 import signal
+import stat
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -41,6 +43,7 @@ from .oracle import smoothed_moment
 REPORT_SCHEMA = "frontier-moments/mc-study/1"
 SEED_STRIDE = 2_147_483_647  # large odd constant between replication streams
 _CONCENTRATION_GRID = 50
+_WRITE_ROWS = 4096  # dataset rows formatted by one % call
 # loadtxt strips these around a number as whitespace; float() refuses them
 _ASCII_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
@@ -345,12 +348,31 @@ def _columns(d: int, *tail: str) -> list[str]:
 
 
 def write_dataset(smpl: Sample, path) -> None:
-    """CSV with header x_1..x_d,y; values as shortest round-trip decimals."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_columns(smpl.dimension, "y"))
-        # csv writes a Python float as its repr, the shortest round-trip decimal
-        writer.writerows(np.column_stack((smpl.xs, smpl.ys)).tolist())
+    """CSV with header x_1..x_d,y; values as shortest round-trip decimals, lines ending in CRLF.
+
+    Each block of ``_WRITE_ROWS`` rows is one ``%`` format of the block's
+    Python floats, whose ``%r`` is the repr that ``csv.writer`` would write:
+    no repr needs quoting, and ``Sample`` holds finite values only.  If the
+    write fails after the file is opened, a regular file is removed before
+    the error goes on, so a cut-short file never reads back as a shorter
+    sample; anything else (``/dev/null``, a pipe) is left as it is.
+    """
+    d = smpl.dimension
+    line = ",".join(["%r"] * (d + 1)) + "\r\n"
+    # opened outside the try: a file that could not be opened is not ours to remove
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.write(",".join(_columns(d, "y")) + "\r\n")
+            for lo in range(0, smpl.n, _WRITE_ROWS):
+                block = np.column_stack((smpl.xs[lo : lo + _WRITE_ROWS], smpl.ys[lo : lo + _WRITE_ROWS]))
+                # floats from tolist(): in numpy 2 the repr of an np.float64 is "np.float64(...)"
+                fh.write(line * len(block) % tuple(block.ravel().tolist()))
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        raise
 
 
 def read_dataset(path) -> Sample:

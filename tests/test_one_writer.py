@@ -8,6 +8,8 @@ point.  The sample meets the kernel in one place, ``moments._scan``, and
 one scan and one summation rule, with no second path beside them.
 Dataset text is parsed only by ``study``'s dataset reader: its
 ``np.loadtxt`` bulk path and the ``csv.reader`` row loop behind it.
+``csv.writer`` writes only the estimates CSV; the dataset writer formats
+its row blocks itself.
 Every tensor product comes from ``model._tensor``: no ``np.meshgrid``,
 ``np.outer`` or ``itertools`` beside it.  Processes are forked only by
 ``study._map_cells``, with no ``multiprocessing`` or ``concurrent`` pool
@@ -107,6 +109,11 @@ def test_dataset_text_parsed_only_by_the_dataset_reader():
     assert sites == ["study.read_dataset"]
     sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"reader"}, "csv")]
     assert sorted(sites) == ["study._read_dataset_rows", "study.read_dataset"]
+
+
+def test_csv_writer_writes_only_the_estimates():
+    sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"writer"}, "csv")]
+    assert sites == ["study.write_estimates"]
 
 
 def test_tensor_products_built_only_by_the_grid_builder():

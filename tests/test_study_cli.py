@@ -1,11 +1,15 @@
 import contextlib
 import csv
+import errno
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
+import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +110,54 @@ def canonical_model():
     )
 
 
+# every value class the writer must spell as csv does: signed zero, subnormal, exponent forms, the largest double
+EDGE_VALUES = (-0.0, 5e-324, 1e-05, 1e16, 0.1, 1.7976931348623157e308)
+WRITE_ROWS = study_module._WRITE_ROWS
+
+
+def csv_writer_dataset(smpl, path):
+    """The reference writer: ``csv.writer`` over the whole table's ``tolist()``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x_{k + 1}" for k in range(smpl.dimension)] + ["y"])
+        writer.writerows(np.column_stack((smpl.xs, smpl.ys)).tolist())
+
+
+def edge_sample(n, d, seed=0):
+    """Random rows, with the edge values in every column of the first and last six rows."""
+    rng = np.random.default_rng(seed)
+    xs, ys = rng.random((n, d)), 0.5 + rng.random(n)
+    positive = [v for v in EDGE_VALUES if v > 0.0]
+    for i in {*range(min(6, n)), *range(max(n - 6, 0), n)}:
+        xs[i] = [EDGE_VALUES[(i + j) % len(EDGE_VALUES)] for j in range(d)]
+        ys[i] = positive[i % len(positive)]
+    return Sample(xs=xs, ys=ys)
+
+
+class FailingFile:
+    """An open text file whose ``fail_at``-th write raises ``err`` instead of writing."""
+
+    def __init__(self, fh, err, fail_at):
+        self.fh, self.err, self.fail_at, self.writes = fh, err, fail_at, 0
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == self.fail_at:
+            raise self.err
+        return self.fh.write(text)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def fail_second_block(monkeypatch, err):
+    """Make the dataset writer's third write, its second row block, raise ``err``."""
+    monkeypatch.setattr(study_module, "open", lambda *a, **k: FailingFile(open(*a, **k), err, 3), raising=False)
+
+
 class TestDatasetFiles:
     def test_round_trip(self, tmp_path):
         s = sample(canonical_model(), 100, seed=1)
@@ -155,6 +207,58 @@ class TestDatasetFiles:
         header = ",".join([f"x_{k + 1}" for k in range(d)] + ["g_hat", "effective_count", "raw_inverse"])
         lines = [header] + [f"{x},{tail}" for x, tail in zip(xs, tails)]
         assert path.read_bytes().decode("utf-8") == "".join(line + "\r\n" for line in lines)
+
+    @pytest.mark.parametrize("n", [1, WRITE_ROWS - 1, WRITE_ROWS, WRITE_ROWS + 1, 2 * WRITE_ROWS + 1])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bytes_match_the_csv_writer(self, tmp_path, monkeypatch, d, n):
+        s = edge_sample(n, d, seed=n + d)
+        path, reference = tmp_path / "data.csv", tmp_path / "reference.csv"
+        write_dataset(s, path)
+        csv_writer_dataset(s, reference)
+        assert path.read_bytes() == reference.read_bytes()
+
+        def row_loop(_):
+            raise AssertionError("the file left the np.loadtxt bulk path")
+
+        monkeypatch.setattr(study_module, "_read_dataset_rows", row_loop)
+        again = read_dataset(path)
+        assert again.xs.tobytes() == s.xs.tobytes() and again.ys.tobytes() == s.ys.tobytes()
+
+    def test_writer_never_holds_the_whole_table(self, tmp_path):
+        # a nested list of the 64,000 x 2 table alone peaks at about 9 MB
+        rng = np.random.default_rng(6)
+        s = Sample(xs=rng.random((64_000, 1)), ys=0.5 + rng.random(64_000))
+        tracemalloc.start()
+        try:
+            write_dataset(s, tmp_path / "data.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
+
+    @pytest.mark.parametrize("err", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), KeyboardInterrupt()])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, err):
+        path = tmp_path / "data.csv"
+        path.write_text("x_1,y\n0.5,1.0\n")
+        fail_second_block(monkeypatch, err)
+        with pytest.raises(type(err)):
+            write_dataset(edge_sample(WRITE_ROWS + 1, 1), path)
+        assert not path.exists()
+
+    def test_failed_write_to_a_pipe_leaves_the_pipe(self, tmp_path, monkeypatch):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        drained = []
+        reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        fail_second_block(monkeypatch, OSError(errno.EPIPE, os.strerror(errno.EPIPE)))
+        try:
+            with pytest.raises(OSError):
+                write_dataset(edge_sample(WRITE_ROWS + 1, 1), fifo)
+        finally:
+            reader.join(timeout=30)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert drained and drained[0].startswith(b"x_1,y\r\n")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -478,6 +582,13 @@ class TestSimulateCommand:
     def test_missing_model_exits_1(self, tmp_path):
         code = main(["simulate", "--model", str(tmp_path / "nope.json"), "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    def test_full_disk_exits_1_and_leaves_no_file(self, model_file, tmp_path, monkeypatch, capsys):
+        model, out = model_file(CANONICAL_SPEC), tmp_path / "data.csv"
+        fail_second_block(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        assert main(["simulate", "--model", model, "--n", str(WRITE_ROWS + 1), "--seed", "1", "--out", str(out)]) == 1
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_frontier_is_reached(self, model_file, tmp_path):
         model = model_file(FLAT_SPEC)
