@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
+import os
+import stat
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +33,8 @@ _MASS_SLACK = 1e-9
 _NEWTON_STEPS = 8
 # a step below _NEWTON_TOL * (1 + |z|) leaves an error near its square
 _NEWTON_TOL = 1e-9
+# rows one block of ``sample`` solves at once: its scratch is about 14 arrays of this length, not of n
+_SAMPLE_ROWS = 4096
 
 _FIELD_KINDS = ("constant", "affine", "sinusoid")
 
@@ -482,16 +486,34 @@ def quantile(model: FrontierModel, x, u: float) -> float:
 
 
 def sample(model: FrontierModel, n: int, seed: int) -> Sample:
-    """Draw n pairs: X by per-coordinate inverse CDF, Y = g(X) * inverse survival."""
+    """Draw n pairs: X by per-coordinate inverse CDF, Y = g(X) * inverse survival.
+
+    Both uniform draws are taken in full, so the random stream does not
+    depend on the block size; the inverse survival is then solved in blocks
+    of ``_SAMPLE_ROWS`` rows.  Every row's solve is independent of the
+    others, so the result is that of one whole-sample solve.
+    """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     rng = default_rng(seed)
     xs = model.f.ppf(rng.random((n, model.dimension)))
-    u = 1.0 - rng.random(n)
+    u = rng.random(n)
+    np.subtract(1.0, u, out=u)
     # keep u strictly below 1 so every sampled response is positive
-    u = np.minimum(u, 1.0 - 2.0**-53)
-    ynorm = _quantile_batch(model, xs, u)
-    ys = model.g.values(xs) * ynorm
+    np.minimum(u, 1.0 - 2.0**-53, out=u)
+    ys = np.empty(n)
+    lo = 0
+    while lo < n:
+        # no block of one row: numpy computes a one-row ``xs @ b`` as a dot, which rounds unlike gemv
+        rows = slice(lo, n if n - lo <= _SAMPLE_ROWS + 1 else lo + _SAMPLE_ROWS)
+        try:
+            ynorm = _quantile_batch(model, xs[rows], u[rows])
+        except ModelError:
+            # as in one whole-sample check, a non-monotone row anywhere is named before a level above C + D0
+            _check_monotone(*_tail_fields(model, xs[rows.stop :]))
+            raise
+        np.multiply(model.g.values(xs[rows]), ynorm, out=ys[rows])
+        lo = rows.stop
     return Sample(xs=xs, ys=ys)
 
 
@@ -647,9 +669,30 @@ def load_model(path) -> FrontierModel:
         return model_from_dict(json.load(fh))
 
 
+@contextmanager
+def _output_file(path):
+    """``path`` opened to write UTF-8 text, line ends as given: every file the package writes.
+
+    If the block raises after the file is opened (a full disk, Ctrl-C), a
+    regular file is removed before the error goes on, so a cut-short file
+    never passes for a whole one; anything else (``/dev/null``, a pipe, a
+    symbolic link) is left as it is.
+    """
+    # opened outside the try: a file that could not be opened is not ours to remove
+    fh = open(path, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        with suppress(OSError):
+            if stat.S_ISREG(os.lstat(path).st_mode):
+                os.unlink(path)
+        raise
+
+
 def dump_json(payload: dict, path) -> None:
     """Write ``payload`` as JSON: sorted keys, indent 2, a trailing newline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output_file(path) as fh:
         fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 

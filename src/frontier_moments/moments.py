@@ -165,6 +165,8 @@ def window_rows(sample: Sample, grid, h: float):
     A grid point's box, x +- h on every axis padded outward by a few ulp,
     then covers one contiguous run of keys per neighbouring cell.  Cells
     are at least h wide, and wide enough that there are at most n of them.
+    The index holds two n-length arrays in d = 1 and about four in d >= 2,
+    each dropped once it is used.
     """
     xs = sample.xs
     n, d = xs.shape
@@ -187,11 +189,11 @@ def window_rows(sample: Sample, grid, h: float):
     count = cell(lead.max(axis=0)).astype(np.int64) + 1
     strides = np.array([np.prod(count[k + 1 :]) for k in range(d - 1)], dtype=np.int64)
     by_last = np.argsort(xs[:, -1])
-    cell_of = (cell(lead).astype(np.int64) @ strides)[by_last]
-    # stable, so by cell, then by last coordinate; by_cell[j] is the rank of order[j]'s last coordinate
-    by_cell = np.argsort(cell_of, kind="stable")
-    order = by_last[by_cell]
-    keys = cell_of[by_cell] * n + by_cell
+    sorted_last = np.take(xs[:, -1], by_last)
+    # each box's rank range in the last coordinate: the run of keys it covers in each cell
+    below = np.searchsorted(sorted_last, lower[:, -1], "left")[:, None]
+    above = np.searchsorted(sorted_last, upper[:, -1], "right")[:, None]
+    del sorted_last
 
     first = np.clip(cell(lower[:, :-1]), 0, count).astype(np.int64)
     last = np.clip(cell(upper[:, :-1]), -1, count - 1).astype(np.int64)
@@ -199,9 +201,23 @@ def window_rows(sample: Sample, grid, h: float):
     cells = first[:, None, :] + _tensor(np.arange(reach, dtype=np.int64), d - 1)
     valid = np.all(cells <= last[:, None, :], axis=2)
     base = (cells @ strides) * n
-    sorted_last = xs[by_last, -1]
-    starts = np.searchsorted(keys, base + np.searchsorted(sorted_last, lower[:, -1], "left")[:, None])
-    stops = np.searchsorted(keys, base + np.searchsorted(sorted_last, upper[:, -1], "right")[:, None])
+    starts, stops = base + below, base + above
+    if count.prod() == 1:
+        # one cell (always in d = 1): the keys are 0..n-1, the sort by cell is the identity,
+        # and a key's position in the keys is the key itself
+        order = by_last
+    else:
+        # the cell of each row, in last-coordinate order; a stable sort on it orders by cell, then by
+        # last coordinate, and by_cell[j] is the rank of order[j]'s last coordinate
+        keys = np.take(cell(lead).astype(np.int64) @ strides, by_last)
+        by_cell = np.argsort(keys, kind="stable")
+        order = np.take(by_last, by_cell)
+        del by_last
+        keys = np.take(keys, by_cell)
+        keys *= n
+        keys += by_cell
+        del by_cell
+        starts, stops = np.searchsorted(keys, starts), np.searchsorted(keys, stops)
     return _chunks(order, starts, np.where(valid, stops - starts, 0))
 
 

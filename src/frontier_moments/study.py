@@ -9,14 +9,12 @@ deterministic.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import math
 import os
 import pickle
 import signal
-import stat
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -36,7 +34,16 @@ from .estimator import (
     w_rate,
 )
 from .kernels import KernelSpec
-from .model import FrontierModel, Sample, dump_json, evaluation_grid, field_range, model_to_dict, sample
+from .model import (
+    FrontierModel,
+    Sample,
+    _output_file,
+    dump_json,
+    evaluation_grid,
+    field_range,
+    model_to_dict,
+    sample,
+)
 from .moments import scaled_moments
 from .oracle import smoothed_moment
 
@@ -46,6 +53,7 @@ _CONCENTRATION_GRID = 50
 _WRITE_ROWS = 4096  # dataset rows formatted by one % call
 # loadtxt strips these around a number as whitespace; float() refuses them
 _ASCII_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_SCAN_BYTES = 2**18  # dataset bytes searched for those separators at once
 
 
 class DatasetFormatError(ValueError):
@@ -352,71 +360,82 @@ def write_dataset(smpl: Sample, path) -> None:
 
     Each block of ``_WRITE_ROWS`` rows is one ``%`` format of the block's
     Python floats, whose ``%r`` is the repr that ``csv.writer`` would write:
-    no repr needs quoting, and ``Sample`` holds finite values only.  If the
-    write fails after the file is opened, a regular file is removed before
-    the error goes on, so a cut-short file never reads back as a shorter
-    sample; anything else (``/dev/null``, a pipe) is left as it is.
+    no repr needs quoting, and ``Sample`` holds finite values only.  As
+    with every file ``_output_file`` opens, a failed write leaves no
+    regular file, so a cut-short file never reads back as a shorter sample.
     """
     d = smpl.dimension
     line = ",".join(["%r"] * (d + 1)) + "\r\n"
-    # opened outside the try: a file that could not be opened is not ours to remove
-    fh = open(path, "w", encoding="utf-8", newline="")
-    try:
-        with fh:
-            fh.write(",".join(_columns(d, "y")) + "\r\n")
-            for lo in range(0, smpl.n, _WRITE_ROWS):
-                block = np.column_stack((smpl.xs[lo : lo + _WRITE_ROWS], smpl.ys[lo : lo + _WRITE_ROWS]))
-                # floats from tolist(): in numpy 2 the repr of an np.float64 is "np.float64(...)"
-                fh.write(line * len(block) % tuple(block.ravel().tolist()))
-    except BaseException:
-        with contextlib.suppress(OSError):
-            if stat.S_ISREG(os.lstat(path).st_mode):
-                os.unlink(path)
-        raise
+    with _output_file(path) as fh:
+        fh.write(",".join(_columns(d, "y")) + "\r\n")
+        for lo in range(0, smpl.n, _WRITE_ROWS):
+            block = np.column_stack((smpl.xs[lo : lo + _WRITE_ROWS], smpl.ys[lo : lo + _WRITE_ROWS]))
+            # floats from tolist(): in numpy 2 the repr of an np.float64 is "np.float64(...)"
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_dataset(path) -> Sample:
     """Read a dataset CSV written by ``write_dataset`` (or by hand).
 
-    Two paths give one result.  The bulk path checks the header, parses the
-    body with one ``np.loadtxt`` call and keeps the table only if the file
-    holds no ASCII separator byte (0x1c-0x1f), the call raised and warned
-    nothing, every row has d + 1 columns, there is at least one row, every
-    value is finite and every response is positive.  Any other file is read
-    again by the row loop, ``_read_dataset_rows``, whose result or error
-    stands: the loop decides every refusal, with its message, line number and
-    exception type.
+    The path is opened once and no copy of the file is kept; a pipe, which
+    cannot be read twice, is first buffered whole.  Two paths give one
+    result.  The bulk path scans the file in blocks for an ASCII separator
+    byte (0x1c-0x1f), then checks the header, parses the body with one
+    ``np.loadtxt`` call and keeps the table only if the file holds no
+    separator, the call raised and warned nothing, every row has d + 1
+    columns, there is at least one row, every value is finite and every
+    response is positive.  Any other file is read again from its start by
+    the row loop, ``_read_dataset_rows``, whose result or error stands: the
+    loop decides every refusal, with its message, line number and exception
+    type.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if not any(sep in raw for sep in _ASCII_SEPARATORS):
-        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors="surrogateescape", newline="") as text:
-            header = next(csv.reader(text), [])
-            d = len(header) - 1
-            if d >= 1 and header == _columns(d, "y"):
-                try:
-                    with warnings.catch_warnings():
-                        # loadtxt warns, not raises, on a body with no rows
-                        warnings.simplefilter("error")
-                        table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
-                except (ValueError, UserWarning):
-                    pass
-                else:
-                    if (
-                        table.shape[0] >= 1
-                        and table.shape[1] == d + 1
-                        and np.isfinite(table).all()
-                        and (table[:, d] > 0.0).all()
-                    ):
-                        # column slices of the table are strided; the loop's arrays are contiguous
-                        return Sample(xs=np.ascontiguousarray(table[:, :d]), ys=np.ascontiguousarray(table[:, d]))
-    return _read_dataset_rows(path)
+        data = fh if fh.seekable() else io.BytesIO(fh.read())
+        if not _has_separator(data):
+            data.seek(0)
+            text = io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape", newline="")
+            try:
+                header = next(csv.reader(text), [])
+                d = len(header) - 1
+                if d >= 1 and header == _columns(d, "y"):
+                    try:
+                        with warnings.catch_warnings():
+                            # loadtxt warns, not raises, on a body with no rows
+                            warnings.simplefilter("error")
+                            table = np.loadtxt(text, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+                    except (ValueError, UserWarning):
+                        pass
+                    else:
+                        if (
+                            table.shape[0] >= 1
+                            and table.shape[1] == d + 1
+                            and np.isfinite(table).all()
+                            and (table[:, d] > 0.0).all()
+                        ):
+                            # column slices of the table are strided; the loop's arrays are contiguous
+                            return Sample(xs=np.ascontiguousarray(table[:, :d]), ys=np.ascontiguousarray(table[:, d]))
+            finally:
+                text.detach()  # closing the wrapper would close the file the row loop reads
+        data.seek(0)
+        return _read_dataset_rows(data)
 
 
-def _read_dataset_rows(path) -> Sample:
-    """The row-by-row reader: ``csv.reader`` and ``float()``, one row at a time."""
+def _has_separator(data) -> bool:
+    """Whether a binary file holds one of ``_ASCII_SEPARATORS``, read ``_SCAN_BYTES`` at a time."""
+    for block in iter(lambda: data.read(_SCAN_BYTES), b""):
+        if any(sep in block for sep in _ASCII_SEPARATORS):
+            return True
+    return False
+
+
+def _read_dataset_rows(source) -> Sample:
+    """The row-by-row reader: ``csv.reader`` and ``float()``, one row at a time.
+
+    ``source`` is a path, or a binary file at its start, which is closed.
+    """
+    raw = source if isinstance(source, io.IOBase) else open(source, "rb")
     # surrogateescape turns an undecodable byte into text that fails the numeric parse below
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -453,7 +472,7 @@ def write_estimates(records, path) -> None:
     """CSV x_1..x_d,g_hat,effective_count,raw_inverse; failed points leave g_hat empty."""
     records = list(records)
     d = len(records[0].x) if records else 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output_file(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(_columns(d, "g_hat", "effective_count", "raw_inverse"))
         # csv writes a float as its repr, an int with str and None as an empty field

@@ -351,6 +351,22 @@ class TestValidate:
         assert "g_positive" in failed
 
 
+SAMPLE_ROWS = model_module._SAMPLE_ROWS
+BLOCK_MODELS = {
+    "canonical": ROOT / "models" / "canonical.json",  # closed form
+    "two_term_tail": ROOT / "models" / "two_term_tail.json",  # Newton
+    "plane_2d": ROOT / "benchmarks" / "models" / "plane_2d.json",  # d = 2, affine fields
+}
+
+
+def whole_sample(model: FrontierModel, n: int, seed: int) -> Sample:
+    """The same draws as ``sample``, with the inverse survival solved in one call over all n rows."""
+    rng = np.random.default_rng(seed)
+    xs = model.f.ppf(rng.random((n, model.dimension)))
+    u = np.minimum(1.0 - rng.random(n), 1.0 - 2.0**-53)
+    return Sample(xs=xs, ys=model.g.values(xs) * _quantile_batch(model, xs, u))
+
+
 class TestSampling:
     def test_deterministic(self):
         s1 = sample(CANONICAL, 500, seed=9)
@@ -393,6 +409,45 @@ class TestSampling:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             sample(CANONICAL, 0, seed=1)
+
+    @pytest.mark.parametrize("n", [SAMPLE_ROWS - 1, SAMPLE_ROWS, SAMPLE_ROWS + 1, 2 * SAMPLE_ROWS + 1])
+    @pytest.mark.parametrize("name", sorted(BLOCK_MODELS))
+    def test_blocks_match_one_whole_sample_solve(self, name, n):
+        model = load_model(BLOCK_MODELS[name])
+        got, want = sample(model, n, seed=n), whole_sample(model, n, seed=n)
+        assert got.xs.tobytes() == want.xs.tobytes()
+        assert got.ys.tobytes() == want.ys.tobytes()
+
+    def test_no_block_of_one_row(self, monkeypatch):
+        # with blocks of 4 rows, every n = 4k + 1 would leave one row alone, the case numpy rounds unlike gemv
+        monkeypatch.setattr(model_module, "_SAMPLE_ROWS", 4)
+        spec = {"dimension": 2, "g": {"kind": "sinusoid", "a": 1.0, "b": 0.9, "c": [1.0, 3.0]}, "alpha": {"kind": "constant", "a": 1.0}}
+        model = model_from_dict(spec)
+        for n in range(1, 42):
+            assert sample(model, n, seed=n).ys.tobytes() == whole_sample(model, n, seed=n).ys.tobytes(), n
+
+    @pytest.mark.parametrize("case", ["non-monotone", "level above C + D0", "both"])
+    def test_error_from_a_later_block_is_the_whole_sample_error(self, monkeypatch, case):
+        monkeypatch.setattr(model_module, "_SAMPLE_ROWS", 16)
+        n, seed = 256, 3
+        xs = np.random.default_rng(seed).random(n)  # the uniform covariates sample draws
+        top = int(xs.argmax())
+        assert top >= 16 and xs[:16].max() < xs[top] - 1e-3
+        fields = {}
+        if case == "non-monotone":
+            fields["alpha"] = ScalarField.affine(xs[top], [-1.0])  # alpha <= 0 at the largest covariate only
+        else:
+            # C(x) = 1000 (c - x): C + D0 is 0, below every level, at x = c, and C < 0 (non-monotone) beyond c.
+            # In "both", c is the largest covariate before the block of the largest one, so an earlier
+            # block fails only the level check and a later one the monotone check, which is named first.
+            c = xs[top] if case == "level above C + D0" else xs[: top - top % 16].max()
+            fields["C"] = ScalarField.affine(1000.0 * c, [-1000.0])
+        model = make_model(**fields)
+        with pytest.raises(ModelError) as want:
+            whole_sample(model, n, seed)
+        with pytest.raises(ModelError) as got:
+            sample(model, n, seed)
+        assert str(got.value) == str(want.value)
 
 
 class TestSampleType:

@@ -10,6 +10,9 @@ Dataset text is parsed only by ``study``'s dataset reader: its
 ``np.loadtxt`` bulk path and the ``csv.reader`` row loop behind it.
 ``csv.writer`` writes only the estimates CSV; the dataset writer formats
 its row blocks itself.
+Files are opened for writing only by ``model._output_file``, which removes
+a cut-short file; the one other write-mode ``open`` is a study worker's
+end of its result pipe.
 Every tensor product comes from ``model._tensor``: no ``np.meshgrid``,
 ``np.outer`` or ``itertools`` beside it.  Processes are forked only by
 ``study._map_cells``, with no ``multiprocessing`` or ``concurrent`` pool
@@ -30,6 +33,8 @@ MESSAGES = (
 )
 COERCIONS = {"atleast_1d", "atleast_2d"}
 ALLOWED = {"model._points", "kernels.KernelSpec.density"}
+WRITE_MODE = set("wax+")
+WRITES = {"write_text", "write_bytes", "tofile", "savetxt"}
 
 
 def string_constants(source: str) -> list[str]:
@@ -53,6 +58,29 @@ def attribute_sites(module: str, source: str, attrs, owner: str | None = None) -
                 ):
                     sites.append(".".join([module] + scope))
                 visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def write_open_sites(module: str, source: str) -> list[str]:
+    """Qualified name of the function around each ``open`` call whose mode may write.
+
+    A mode that is not a string literal counts as a write.
+    """
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
+                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
+                mode = modes[0] if modes else ast.Constant("r")
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or WRITE_MODE & set(mode.value):
+                    sites.append(".".join([module] + scope))
+            visit(child, scope)
 
     visit(ast.parse(source), [])
     return sites
@@ -116,6 +144,12 @@ def test_csv_writer_writes_only_the_estimates():
     assert sites == ["study.write_estimates"]
 
 
+def test_files_written_only_by_the_output_helper():
+    sites = [s for module, src in SOURCES.items() for s in write_open_sites(module, src)]
+    assert sorted(sites) == ["model._output_file", "study._serve_share"]
+    assert [s for module, src in SOURCES.items() for s in attribute_sites(module, src, WRITES)] == []
+
+
 def test_tensor_products_built_only_by_the_grid_builder():
     for module, src in SOURCES.items():
         assert numpy_uses(src, "meshgrid") == [] and numpy_uses(src, "outer") == [], module
@@ -143,6 +177,9 @@ def test_guard_sees_copies():
     src = "import itertools\nfrom itertools import product\nimport numpy as np\ng = np.meshgrid(a, a), np.outer(a, a)\n"
     assert imported_modules(src) == ["itertools", "itertools", "numpy"]
     assert numpy_uses(src, "meshgrid") == [4] and numpy_uses(src, "outer") == [4]
+    src = "def f(p, m):\n    open(p)\n    open(p, 'rb')\n    open(p, mode='a')\n    open(p, m)\nclass K:\n    def g(self, p):\n        return open(p, 'r+'), p.write_text('')\n"
+    assert write_open_sites("m", src) == ["m.f", "m.f", "m.K.g"]
+    assert attribute_sites("m", src, WRITES) == ["m.K.g"]
     src = "import os\nimport multiprocessing.pool\nfrom concurrent.futures import ProcessPoolExecutor\ndef f():\n    return os.fork()\n"
     assert attribute_sites("m", src, {"fork"}, "os") == ["m.f"]
     assert imported_modules(src) == ["os", "multiprocessing", "concurrent"]

@@ -18,8 +18,10 @@ import pytest
 from frontier_moments import (
     CovariateDensity,
     EstimateRecord,
+    EstimatorConfig,
     FrontierModel,
     InsufficientLocalDataError,
+    KernelSpec,
     ModelError,
     RateSchedule,
     Sample,
@@ -27,15 +29,20 @@ from frontier_moments import (
     ScheduleError,
     StudyConfig,
     cell_seed,
+    estimate_grid,
+    evaluation_grid,
     field_range,
     load_model,
     moment_concentration,
     read_dataset,
     run_study,
     sample,
+    schedule,
     write_dataset,
     write_estimates,
+    write_report,
 )
+from frontier_moments import model as model_module
 from frontier_moments import oracle as oracle_module
 from frontier_moments import study as study_module
 from frontier_moments.cli import main
@@ -135,7 +142,7 @@ def edge_sample(n, d, seed=0):
 
 
 class FailingFile:
-    """An open text file whose ``fail_at``-th write raises ``err`` instead of writing."""
+    """An open file whose ``fail_at``-th write raises ``err`` instead of writing; reads pass through."""
 
     def __init__(self, fh, err, fail_at):
         self.fh, self.err, self.fail_at, self.writes = fh, err, fail_at, 0
@@ -146,6 +153,9 @@ class FailingFile:
             raise self.err
         return self.fh.write(text)
 
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
     def __enter__(self):
         return self
 
@@ -153,9 +163,13 @@ class FailingFile:
         self.fh.close()
 
 
-def fail_second_block(monkeypatch, err):
-    """Make the dataset writer's third write, its second row block, raise ``err``."""
-    monkeypatch.setattr(study_module, "open", lambda *a, **k: FailingFile(open(*a, **k), err, 3), raising=False)
+def fail_write(monkeypatch, err, at=3):
+    """Make the ``at``-th write to each file the package opens raise ``err``.
+
+    Every file the package writes is opened in ``model``; at 3 that is the
+    dataset writer's second row block, or the estimates writer's second row.
+    """
+    monkeypatch.setattr(model_module, "open", lambda *a, **k: FailingFile(open(*a, **k), err, at), raising=False)
 
 
 class TestDatasetFiles:
@@ -240,7 +254,7 @@ class TestDatasetFiles:
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, err):
         path = tmp_path / "data.csv"
         path.write_text("x_1,y\n0.5,1.0\n")
-        fail_second_block(monkeypatch, err)
+        fail_write(monkeypatch, err)
         with pytest.raises(type(err)):
             write_dataset(edge_sample(WRITE_ROWS + 1, 1), path)
         assert not path.exists()
@@ -251,7 +265,7 @@ class TestDatasetFiles:
         drained = []
         reader = threading.Thread(target=lambda: drained.append(fifo.read_bytes()), daemon=True)
         reader.start()
-        fail_second_block(monkeypatch, OSError(errno.EPIPE, os.strerror(errno.EPIPE)))
+        fail_write(monkeypatch, OSError(errno.EPIPE, os.strerror(errno.EPIPE)))
         try:
             with pytest.raises(OSError):
                 write_dataset(edge_sample(WRITE_ROWS + 1, 1), fifo)
@@ -260,11 +274,65 @@ class TestDatasetFiles:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
         assert drained and drained[0].startswith(b"x_1,y\r\n")
 
+    @pytest.mark.parametrize("err", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), KeyboardInterrupt()])
+    @pytest.mark.parametrize("what", ["estimates", "report"])
+    def test_other_failed_writes_leave_no_file(self, tmp_path, monkeypatch, what, err):
+        path = tmp_path / "out"
+        path.write_text("an older file\n")
+        records = [EstimateRecord(x=(0.25 * k,), g_hat=1.0, effective_count=5, raw_inverse=1.0) for k in range(3)]
+        # the estimates writer's third write is its second row; the JSON writer writes once
+        fail_write(monkeypatch, err, at=3 if what == "estimates" else 1)
+        with pytest.raises(type(err)):
+            if what == "estimates":
+                write_estimates(records, path)
+            else:
+                write_report({"cells": []}, {"total_wall_time_s": 0.0}, path)
+        assert not path.exists()
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n0.5,1.0\n")
         with pytest.raises(DatasetFormatError):
             read_dataset(path)
+
+
+def traced_peak(fn, *args) -> int:
+    """The largest number of bytes ``tracemalloc`` sees allocated during ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """At n = 64,000 (d = 1) no step of simulate -> estimate holds O(n) scratch beside its input and output.
+
+    The input and output arrays alone take 1 MiB.  The peaks read 1.96,
+    2.02 and 1.90 MiB.  Solving all rows at once, keeping the file's bytes
+    beside the table and an index of about seven n-length arrays gave 7.15,
+    4.43 and 2.94 MiB.
+    """
+
+    N = 64_000
+    MIB = 2**20
+    MODEL = ROOT / "models" / "two_term_tail.json"
+
+    def test_sample(self):
+        assert traced_peak(sample, load_model(self.MODEL), self.N, 5000) <= 2.5 * self.MIB
+
+    def test_read_dataset(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_dataset(sample(load_model(self.MODEL), self.N, 5000), path)
+        assert traced_peak(read_dataset, path) <= 2.5 * self.MIB
+
+    def test_estimate_grid(self):
+        model = load_model(self.MODEL)
+        p, h = schedule(self.N, RateSchedule.optimal(1, model.eta_g, field_range(model.alpha)[1]))
+        config = EstimatorConfig(p=p, h=h, kernel=KernelSpec("epanechnikov_ball", 1))
+        grid = evaluation_grid(model.omega, 1, 101)
+        assert traced_peak(estimate_grid, sample(model, self.N, 5000), grid, config) <= 2 * self.MIB
 
 
 class TestRunStudy:
@@ -585,7 +653,7 @@ class TestSimulateCommand:
 
     def test_full_disk_exits_1_and_leaves_no_file(self, model_file, tmp_path, monkeypatch, capsys):
         model, out = model_file(CANONICAL_SPEC), tmp_path / "data.csv"
-        fail_second_block(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        fail_write(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
         assert main(["simulate", "--model", model, "--n", str(WRITE_ROWS + 1), "--seed", "1", "--out", str(out)]) == 1
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
         assert not out.exists()
@@ -630,6 +698,53 @@ class TestEstimateCommand:
         assert main(argv) == 2
         assert f"{named} must be finite, got inf" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_full_disk_exits_1_and_leaves_no_file(self, tmp_path, monkeypatch, capsys):
+        data, out = tmp_path / "data.csv", tmp_path / "est.csv"
+        write_dataset(Sample(xs=np.linspace(0.0, 1.0, 50)[:, None], ys=np.ones(50)), data)
+        fail_write(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
+        assert main(["estimate", str(data), "--p", "20", "--h", "0.2", "--grid", "5", "--out", str(out)]) == 1
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "0.5,1.0\n0.25,abc\n",  # exit 1: line 3: non-numeric value in ['0.25', 'abc']
+            "0.5,1.0\n0.25,0\n",  # exit 2: line 3: nonpositive response
+            "".join(f"{k / 10},{1 + k / 10}\n" for k in range(11)),  # exit 0, by the bulk path
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["fifo", "pipe"])
+    def test_dataset_from_a_pipe_reads_as_from_a_file(self, tmp_path, capsys, kind, body):
+        # "pipe" is what a shell's <(cat data.csv) passes: /dev/fd/N of a pipe whose writer has closed
+        text = "x_1,y\n" + body
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        if kind == "fifo":
+            source = tmp_path / "pipe"
+            os.mkfifo(source)
+            writer = threading.Thread(target=source.write_text, args=(text,), daemon=True)
+            writer.start()
+        else:
+            read_end, write_end = os.pipe()
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            source = f"/dev/fd/{read_end}"
+        seen = {}
+        try:
+            # a reader that opened the FIFO a second time would wait for a writer forever
+            with time_limit(30):
+                for name, data in (("pipe", source), ("file", path)):
+                    out = tmp_path / f"{name}.csv"
+                    code = main(["estimate", str(data), "--p", "20", "--h", "0.3", "--grid", "5", "--out", str(out)])
+                    seen[name] = (code, capsys.readouterr().err, out.read_bytes() if out.exists() else None)
+        finally:
+            if kind == "fifo":
+                writer.join(timeout=30)
+            else:
+                os.close(read_end)
+        assert seen["pipe"] == seen["file"]
 
     def test_unparseable_row_exits_1_with_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
@@ -787,6 +902,13 @@ class TestMcStudyCommand:
 
 
 class TestOracleCheckCommand:
+    def test_full_disk_exits_1_and_leaves_no_file(self, model_file, tmp_path, monkeypatch, capsys):
+        model, out = model_file(FLAT_SPEC), tmp_path / "oracle.json"
+        fail_write(monkeypatch, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), at=1)
+        assert main(["oracle-check", "--model", model, "--out", str(out)]) == 1
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_constant_model_all_pass(self, model_file, tmp_path):
         model = model_file(FLAT_SPEC)
         out = tmp_path / "oracle.json"
