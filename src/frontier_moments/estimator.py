@@ -56,7 +56,7 @@ class EstimateRecord:
 
     raw_inverse is the value of 1 / g_hat before inversion, kept even when
     nonpositive so unstable points remain auditable; it is None only when
-    the window itself was unusable.
+    the window is empty.
     """
 
     x: tuple[float, ...]
@@ -70,8 +70,8 @@ class EstimateRecord:
 
 
 def _record(x: tuple[float, ...], config: EstimatorConfig, high, low, count: int) -> EstimateRecord:
-    """The record at x from its two moment ratios; high is None when the window gave none."""
-    if high is None:
+    """The record at x from its two moment ratios; an empty window (count 0) has none."""
+    if count == 0:
         return EstimateRecord(x=x, g_hat=None, effective_count=count, raw_inverse=None)
     p, a = config.p, config.a
     raw_inverse = (((a + 1.0) * p + 1.0) * high - (p + 1.0) * low) / (a * p)
@@ -80,12 +80,12 @@ def _record(x: tuple[float, ...], config: EstimatorConfig, high, low, count: int
 
 
 def estimate_at(sample: Sample, x, config: EstimatorConfig) -> EstimateRecord:
-    """Frontier estimate at a single point from a scan of all n rows; failures are flags, not exceptions."""
+    """Frontier estimate at a single point, a one-row grid call; failures are flags, not exceptions."""
     x = _points(x, sample.dimension, one=True)
     try:
         high, low, count = moment_ratio_pair(sample, x, config.p, config.a, config.h, config.kernel)
-    except InsufficientLocalDataError as err:
-        high, low, count = None, None, err.count
+    except InsufficientLocalDataError:
+        high, low, count = None, None, 0
     return _record(tuple(x[0].tolist()), config, high, low, count)
 
 
@@ -93,16 +93,16 @@ def estimate_grid(sample: Sample, grid, config: EstimatorConfig) -> list[Estimat
     """The estimate at every grid row, in grid order, from one batched scan per chunk.
 
     Each point scans only the candidate rows of its window (``window_rows``),
-    and its sums add in sample order, so every record equals ``estimate_at``
-    at that point field for field.
+    and its sums add in sample order, so every record equals the one a scan
+    of all n rows gives.  A point fails when its window is empty or its
+    1 / g_hat is not positive.
     """
     p, a = config.p, config.a
     records = []
     for points, windows in grid_windows(sample, grid, config.h, config.kernel):
-        high, high_ok = windows.ratio((a + 1.0) * p)
-        low, low_ok = windows.ratio(p)
-        columns = zip(points.tolist(), high.tolist(), low.tolist(), (high_ok & low_ok).tolist(), windows.count.tolist())
-        records += [_record(tuple(x), config, hi if ok else None, lo, count) for x, hi, lo, ok, count in columns]
+        high, low = windows.ratio((a + 1.0) * p), windows.ratio(p)
+        columns = zip(points.tolist(), high.tolist(), low.tolist(), windows.count.tolist())
+        records += [_record(tuple(x), config, hi, lo, count) for x, hi, lo, count in columns]
     return records
 
 

@@ -8,6 +8,7 @@ loops.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.profile not in _DEGREE:
             raise ValueError(f"unknown kernel profile {self.profile!r}; choose from {PROFILES}")
-        if int(self.dimension) != self.dimension or self.dimension < 1:
+        d = self.dimension
+        if isinstance(d, bool) or not isinstance(d, numbers.Real) or not float(d).is_integer() or d < 1:
             raise ValueError("dimension must be a positive integer")
+        object.__setattr__(self, "dimension", int(d))
 
     @property
     def degree(self) -> int:

@@ -333,8 +333,8 @@ def evaluation_grid(omega: tuple[float, float], dimension: int, per_axis: int) -
     """Equispaced grid over omega^dimension, row-major, shape (per_axis^d, d)."""
     if per_axis < 1:
         raise ValueError("grid needs at least one point per axis")
-    if not omega[0] < omega[1]:
-        raise ValueError(f"grid window needs lo < hi, got ({omega[0]}, {omega[1]})")
+    if not (omega[0] < omega[1] and math.isfinite(omega[0]) and math.isfinite(omega[1])):
+        raise ValueError(f"grid window needs finite lo < hi, got ({omega[0]}, {omega[1]})")
     return _tensor(np.linspace(omega[0], omega[1], per_axis), dimension)
 
 

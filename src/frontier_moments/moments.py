@@ -11,11 +11,15 @@ scan and one scale, so the common factor cancels without ever being formed.
 Every moment is read from one scan (``_scan``): a batch of (query point,
 sample row) candidate pairs goes through one kernel call, and every
 per-window sum is a ``np.bincount`` over the window index, which adds each
-window's terms in sample order.  A grid takes its candidates from
-``window_rows``, a superset of each window; the one-point functions hand
-the scan all n rows.  The kernel's own strict test decides which
-candidates are in a window, so a grid value has the same bits as the
-one-point value at that point.
+window's terms in sample order.  Its candidates come from ``window_rows``,
+a superset of each window, and the kernel's own strict test decides which
+candidates are in a window, so every value has the bits a scan of all n
+rows would give.  A one-point function is a one-row call of the grid path.
+
+A window fails only when it is empty.  The scale M is the largest response
+in the window, so that row has t = Y / M = 1 exactly, and its term in every
+moment is its kernel weight, which is positive: a window with a point has
+positive mass at every power.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ _CHUNK_ROWS = 2**14
 
 
 class InsufficientLocalDataError(RuntimeError):
-    """The kernel window around the query point holds no usable mass."""
+    """The kernel window around the query point is empty."""
 
     def __init__(self, count: int, message: str | None = None):
         self.count = count
@@ -84,17 +88,12 @@ class Windows:
         """Per window, the sum of values * w over its rows, added in sample order."""
         return np.bincount(self.seg, values * self.w, minlength=self.count.size)
 
-    def ratio(self, q: float) -> tuple[np.ndarray, np.ndarray]:
-        """(mu_q / mu_(q+1) on the scale M, whether it exists) per window.
-
-        A window with no mass at power q + 1 (empty, or every term
-        underflowed) has no ratio; its entry is NaN.
-        """
+    def ratio(self, q: float) -> np.ndarray:
+        """mu_q / mu_(q+1) on the scale M per window; NaN where the window is empty."""
         tq = self.t**q
         num = self.total(tq)
         den = self.total(tq * self.t)
-        usable = den > 0.0
-        return np.divide(num, self.m * den, out=np.full(num.size, np.nan), where=usable), usable
+        return np.divide(num, self.m * den, out=np.full(num.size, np.nan), where=self.count > 0)
 
     def moments(self, p: float, n: int) -> list[ScaledMoment]:
         """(1/n) sum_i Y_i^p K_h(x - X_i) per window; an empty window is count 0, mantissa 0."""
@@ -127,14 +126,18 @@ def _scan(sample: Sample, points: np.ndarray, h: float, kernel: KernelSpec, rows
 
 
 def point_window(sample: Sample, x, h: float, kernel: KernelSpec) -> Windows:
-    """The window of the one point x, from a scan of all n rows."""
-    x = _points(x, sample.dimension, one=True)
-    return _scan(sample, x, h, kernel, np.arange(sample.n), np.zeros(sample.n, dtype=np.intp))
+    """The window of the one point x: a one-row call of ``grid_windows``."""
+    ((_, windows),) = grid_windows(sample, _points(x, sample.dimension, one=True), h, kernel)
+    return windows
 
 
 def grid_windows(sample: Sample, grid, h: float, kernel: KernelSpec):
     """(points, windows) per chunk of ``window_rows``, in grid order: the chunk's grid rows and their windows."""
     grid = _points(grid, sample.dimension)
+    if not np.isfinite(grid).all():
+        raise ValueError("query points must be finite")
+    if not math.isfinite(h):
+        raise ValueError(f"bandwidth h must be finite, got {h!r}")
     for chunk, rows, seg in window_rows(sample, grid, h):
         points = grid[chunk]
         yield points, _scan(sample, points, h, kernel, rows, seg)
@@ -253,13 +256,10 @@ def _gather(order, starts, lengths, per_point):
     return rows, seg
 
 
-def _one(windows: Windows, values, usable) -> float:
-    """The value of a one-point scan's window, or InsufficientLocalDataError when it has none."""
-    count = int(windows.count[0])
-    if count == 0:
+def _one(windows: Windows, values) -> float:
+    """The value of a one-point window, or InsufficientLocalDataError when it is empty."""
+    if windows.count[0] == 0:
         raise InsufficientLocalDataError(0)
-    if not usable[0]:
-        raise InsufficientLocalDataError(count, f"window of {count} points carries no usable moment mass")
     return float(values[0])
 
 
@@ -268,8 +268,7 @@ def scaled_moment(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> 
 
     An empty window is a value, not an error: count 0, mantissa 0.
     """
-    _positive(p=p, h=h)
-    return point_window(sample, x, h, kernel).moments(p, sample.n)[0]
+    return scaled_moments(sample, _points(x, sample.dimension, one=True), p, h, kernel)[0]
 
 
 def scaled_moments(sample: Sample, grid, p: float, h: float, kernel: KernelSpec) -> list[ScaledMoment]:
@@ -286,7 +285,7 @@ def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> f
     """
     _positive(p=p, h=h)
     windows = point_window(sample, x, h, kernel)
-    return _one(windows, *windows.ratio(p))
+    return _one(windows, windows.ratio(p))
 
 
 def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: KernelSpec):
@@ -297,8 +296,8 @@ def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: K
     """
     _positive(p=p, h=h, a=a)
     windows = point_window(sample, x, h, kernel)
-    high = _one(windows, *windows.ratio((a + 1.0) * p))
-    low = _one(windows, *windows.ratio(p))
+    high = _one(windows, windows.ratio((a + 1.0) * p))
+    low = _one(windows, windows.ratio(p))
     return high, low, int(windows.count[0])
 
 

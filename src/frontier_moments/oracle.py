@@ -264,16 +264,20 @@ def oracle_report(model: FrontierModel) -> dict:
         "passed": worst <= 1e-8,
     }
 
-    # first-order moment description, h tied to 1/p
+    # first-order moment description and consecutive-ratio expansion, h tied to 1/p; the ratio
+    # gap is scaled by p^(beta_min + 1), and both read each smoothed moment once
     p_conv = [25.0, 100.0, 400.0]
+    beta_min = field_range(model.beta)[0]
     gaps = []
+    raw_gaps = []
+    scaled_gaps = []
     for p in p_conv:
         h = 1.0 / p
-        gap = max(
-            abs(smoothed_moment(model, xs[i], p, h, kernel) / moment_equivalent(model, xs[i], p) - 1.0)
-            for i in range(xs.shape[0])
-        )
-        gaps.append(gap)
+        mu = [(smoothed_moment(model, x, p, h, kernel), smoothed_moment(model, x, p + 1.0, h, kernel)) for x in xs]
+        gaps.append(max(abs(mu_p / moment_equivalent(model, x, p) - 1.0) for x, (mu_p, _) in zip(xs, mu)))
+        gap = max(abs(mu_p / (model.g(x) * mu_next) - ratio_expansion(model, x, p)) for x, (mu_p, mu_next) in zip(xs, mu))
+        raw_gaps.append(gap)
+        scaled_gaps.append(gap * p ** (beta_min + 1.0))
     report["checks"]["moment_equivalent"] = {
         "p_grid": p_conv,
         "max_gap_by_p": gaps,
@@ -282,18 +286,6 @@ def oracle_report(model: FrontierModel) -> dict:
         "passed": all(b < a for a, b in zip(gaps, gaps[1:])),
     }
 
-    # consecutive-ratio expansion, gap scaled by p^(beta_min + 1)
-    beta_min = field_range(model.beta)[0]
-    raw_gaps = []
-    scaled_gaps = []
-    for p in p_conv:
-        h = 1.0 / p
-        gap = max(
-            abs(smoothed_ratio(model, xs[i], p, h, kernel) - ratio_expansion(model, xs[i], p))
-            for i in range(xs.shape[0])
-        )
-        raw_gaps.append(gap)
-        scaled_gaps.append(gap * p ** (beta_min + 1.0))
     exact = max(raw_gaps) <= 1e-12
     if exact:
         spread = None

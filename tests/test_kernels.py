@@ -115,6 +115,15 @@ def test_dimension_mismatch_rejected():
         k.scaled_density(np.array([0.5, 0.5, 0.5]), np.zeros((4, 3)), 0.1)
 
 
+def test_dimension_is_a_whole_number_stored_as_int():
+    k = KernelSpec(dimension=2.0)
+    assert type(k.dimension) is int and k == KernelSpec(dimension=2)
+    assert k.density(np.array([0.1, 0.2])) == KernelSpec(dimension=2).density(np.array([0.1, 0.2]))
+    for bad in (True, False, 1.5, 0, -1.0, math.nan, math.inf, "2"):
+        with pytest.raises(ValueError, match="positive integer"):
+            KernelSpec(dimension=bad)
+
+
 def density_by_axis_sum(kernel, u):
     """The kernel as it was written before the column-by-column radius: r^2 by np.sum over axis 1."""
     u2 = np.atleast_2d(np.asarray(u, dtype=float))

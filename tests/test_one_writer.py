@@ -3,9 +3,11 @@
 Each positivity message is written once in ``src/``, and query points are
 coerced only by ``model._points``.  ``KernelSpec.density`` keeps its own
 ``np.atleast_2d``: its argument is a kernel-space offset ``u``, not a query
-point.  The sample meets the kernel in one place, ``moments._scan``, and
-``moments`` adds every window sum with ``np.bincount``, never ``np.sum``:
-one scan and one summation rule, with no second path beside them.
+point.  The sample meets the kernel in one place, ``moments._scan``, which
+only ``moments.grid_windows`` calls, so every candidate list comes from the
+window index and none is a hand-built list of all n rows.  ``moments`` adds
+every window sum with ``np.bincount``, never ``np.sum``: one scan and one
+summation rule, with no second path beside them.
 Dataset text is parsed only by ``study``'s dataset reader: its
 ``np.loadtxt`` bulk path and the ``csv.reader`` row loop behind it.
 ``csv.writer`` writes only the estimates CSV; the dataset writer formats
@@ -41,26 +43,54 @@ def string_constants(source: str) -> list[str]:
     return [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant) and isinstance(n.value, str)]
 
 
-def attribute_sites(module: str, source: str, attrs, owner: str | None = None) -> list[str]:
-    """Qualified name of the function around each use of an attribute named in ``attrs``.
-
-    With ``owner``, count only ``<owner>.<attr>``, such as ``csv.reader``.
-    """
-    sites = []
+def sites(module: str, source: str, hit) -> list[str]:
+    """Qualified name of the function around each node of ``source`` for which ``hit(node)`` holds."""
+    found = []
 
     def visit(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + [child.name])
-            else:
-                if isinstance(child, ast.Attribute) and child.attr in attrs and (
-                    owner is None or isinstance(child.value, ast.Name) and child.value.id == owner
-                ):
-                    sites.append(".".join([module] + scope))
-                visit(child, scope)
+                continue
+            if hit(child):
+                found.append(".".join([module] + scope))
+            visit(child, scope)
 
     visit(ast.parse(source), [])
-    return sites
+    return found
+
+
+def attribute_sites(module: str, source: str, attrs, owner: str | None = None) -> list[str]:
+    """Qualified name of the function around each use of an attribute named in ``attrs``.
+
+    With ``owner``, count only ``<owner>.<attr>``, such as ``csv.reader``.
+    """
+    return sites(
+        module,
+        source,
+        lambda n: isinstance(n, ast.Attribute)
+        and n.attr in attrs
+        and (owner is None or isinstance(n.value, ast.Name) and n.value.id == owner),
+    )
+
+
+def call_sites(module: str, source: str, name: str) -> list[str]:
+    """Qualified name of the function around each call of the plain name ``name``, such as ``_scan(...)``."""
+    return sites(module, source, lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name)
+
+
+def arange_over_n_sites(module: str, source: str) -> list[str]:
+    """Qualified name of the function around each ``np.arange(<x>.n)``: a list of every sample row."""
+    return sites(
+        module,
+        source,
+        lambda n: isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Attribute)
+        and n.func.attr == "arange"
+        and bool(n.args)
+        and isinstance(n.args[0], ast.Attribute)
+        and n.args[0].attr == "n",
+    )
 
 
 def write_open_sites(module: str, source: str) -> list[str]:
@@ -68,22 +98,15 @@ def write_open_sites(module: str, source: str) -> list[str]:
 
     A mode that is not a string literal counts as a write.
     """
-    sites = []
 
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(child, scope + [child.name])
-                continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) and child.func.id == "open":
-                modes = child.args[1:2] + [k.value for k in child.keywords if k.arg == "mode"]
-                mode = modes[0] if modes else ast.Constant("r")
-                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or WRITE_MODE & set(mode.value):
-                    sites.append(".".join([module] + scope))
-            visit(child, scope)
+    def writes(n):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "open"):
+            return False
+        modes = n.args[1:2] + [k.value for k in n.keywords if k.arg == "mode"]
+        mode = modes[0] if modes else ast.Constant("r")
+        return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or bool(WRITE_MODE & set(mode.value))
 
-    visit(ast.parse(source), [])
-    return sites
+    return sites(module, source, writes)
 
 
 def coercion_sites(module: str, source: str) -> list[str]:
@@ -125,6 +148,11 @@ def test_query_points_coerced_only_by_the_point_rule():
 def test_kernel_scanned_only_by_the_windows_primitive():
     sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"scaled_density"})]
     assert sites == ["moments._scan"]
+
+
+def test_scan_called_only_by_the_grid_path():
+    assert [s for module, src in SOURCES.items() for s in call_sites(module, src, "_scan")] == ["moments.grid_windows"]
+    assert [s for module, src in SOURCES.items() for s in arange_over_n_sites(module, src)] == []
 
 
 def test_moments_sum_only_by_bincount():
@@ -171,6 +199,9 @@ def test_guard_sees_copies():
     src = "import numpy as np\ndef f(k, x, xs):\n    return np.sum(k.scaled_density(x, xs, 0.1))\n"
     assert attribute_sites("m", src, {"scaled_density"}) == ["m.f"]
     assert numpy_uses(src, "sum") == [3]
+    src = "import numpy as np\ndef f(s, x):\n    return _scan(s, x, np.arange(s.n), m._scan)\nclass K:\n    def g(self):\n        _scan()\n"
+    assert call_sites("m", src, "_scan") == ["m.f", "m.K.g"]
+    assert arange_over_n_sites("m", src) == ["m.f"]
     src = "import csv\nimport numpy as np\ndef f(fh):\n    return np.loadtxt(fh), csv.reader(fh), fh.reader\n"
     assert attribute_sites("m", src, {"loadtxt"}) == ["m.f"]
     assert attribute_sites("m", src, {"reader"}, "csv") == ["m.f"]

@@ -107,6 +107,35 @@ def test_misshapen_point_raises_naming_the_coordinate_count(name, d, x):
         call(d, x)
 
 
+NON_FINITE = ["estimate_at", "scaled_moment", "moment_ratio", "moment_ratio_pair", "effective_count", "estimate_grid"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_non_finite_query_point_raises(name, d, bad):
+    # refused before the window index casts it to a cell
+    for at in range(d):
+        x = [0.5] * d
+        x[at] = bad
+        call = ONE_POINT.get(name)
+        with pytest.raises(ValueError, match="finite"):
+            call(d, x) if call else GRID[name](d, [[0.5] * d, x])
+
+
+@pytest.mark.parametrize("name", ["scaled_moment", "moment_ratio", "moment_ratio_pair", "effective_count"])
+def test_infinite_bandwidth_raises(name):
+    # every window would hold the whole sample, but h^d is infinite and every kernel weight 0
+    calls = {
+        "scaled_moment": lambda: scaled_moment(SAMPLES[2], [0.5, 0.5], 5.0, np.inf, KERNELS[2]),
+        "moment_ratio": lambda: moment_ratio(SAMPLES[2], [0.5, 0.5], 5.0, np.inf, KERNELS[2]),
+        "moment_ratio_pair": lambda: moment_ratio_pair(SAMPLES[2], [0.5, 0.5], 5.0, 1.0, np.inf, KERNELS[2]),
+        "effective_count": lambda: effective_count(SAMPLES[2], [0.5, 0.5], np.inf),
+    }
+    with pytest.raises(ValueError, match="bandwidth h must be finite"):
+        calls[name]()
+
+
 def test_flat_grid_in_one_dimension_is_one_point_per_entry():
     flat = np.linspace(0.1, 0.9, 9)
     records = estimate_grid(SAMPLES[1], flat, CONFIGS[1])

@@ -791,10 +791,12 @@ class TestEstimateCommand:
         data = tmp_path / "data.csv"
         write_dataset(Sample(xs=rng.random((50, 1)), ys=np.ones(50)), data)
         out = tmp_path / "o.csv"
-        argv = ["estimate", str(data), "--p", "20", "--h", "0.2", "--omega", "0.9", "0.1", "--out", str(out)]
-        assert main(argv) == 2
-        assert "lo < hi" in capsys.readouterr().err
-        assert not out.exists()
+        # a non-finite end is refused too, not reported as every grid point failing
+        for omega in (["0.9", "0.1"], ["0.1", "inf"]):
+            argv = ["estimate", str(data), "--p", "20", "--h", "0.2", "--grid", "5", "--omega", *omega, "--out", str(out)]
+            assert main(argv) == 2
+            assert "lo < hi" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_empty_grid_everywhere_exits_3(self, tmp_path):
         # one observation far from the evaluation window

@@ -45,8 +45,10 @@ PROFILES = ["epanechnikov_ball", "biweight_ball", "uniform_ball"]
 
 
 def full_scan(smpl, grid, config):
-    """The grid estimate without the index: every grid point scans all n rows."""
-    return [estimate_at(smpl, x, config) for x in np.atleast_2d(np.asarray(grid, dtype=float))]
+    """The grid estimate without the index: every grid point scans all n rows (``all_rows``)."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(moments_module, "window_rows", all_rows)
+        return estimate_grid(smpl, grid, config)
 
 
 def assert_matches_full_scan(smpl, grid, h, profile, p=9.0, a=1.0):
@@ -340,8 +342,8 @@ def test_batched_grid_matches_per_point_sums(case, profile):
         want = per_point_reference(smpl, grid, config)
         records = estimate_grid(smpl, grid, config)
         windows = [w for _, w in moments_module.grid_windows(smpl, grid, h, kernel)]
-        high = np.concatenate([w.ratio((a + 1.0) * p)[0] for w in windows])
-        low = np.concatenate([w.ratio(p)[0] for w in windows])
+        high = np.concatenate([w.ratio((a + 1.0) * p) for w in windows])
+        low = np.concatenate([w.ratio(p) for w in windows])
         assert [r.effective_count for r in records] == [c for c, _, _ in want]
         for x, rec in zip(grid, records):
             assert estimate_at(smpl, x, config) == estimate_grid(smpl, [x], config)[0] == rec
@@ -356,6 +358,23 @@ def test_batched_grid_matches_per_point_sums(case, profile):
             assert rec.ok == (raw > 0.0)
     if case == "gaps-and-one-point":
         assert [r.effective_count for r in records] == [0, want[1][0], 0, 1, want[4][0], 0]
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("d, n, per_axis, h", [(1, 300, 41, 0.05), (2, 400, 9, 0.15), (3, 300, 5, 0.3)])
+def test_ratio_is_finite_exactly_where_the_window_has_a_point(profile, d, n, per_axis, h):
+    # the row with Y = M has t = 1, so every window with a point has positive mass at any power,
+    # however far apart the responses: no window fails but an empty one
+    rng = np.random.default_rng(80 + d)
+    smpl = Sample(xs=rng.random((n, d)), ys=np.exp(rng.uniform(-700.0, 700.0, n)))
+    grid = evaluation_grid((-0.3, 1.3), d, per_axis)
+    kernel = KernelSpec(profile=profile, dimension=d)
+    windows = [w for _, w in moments_module.grid_windows(smpl, grid, h, kernel)]
+    count = np.concatenate([w.count for w in windows])
+    assert 0 < np.count_nonzero(count) < count.size
+    for q in (1e-300, 1.0, 7.5, 1e3, 1e300):
+        ratio = np.concatenate([w.ratio(q) for w in windows])
+        assert np.array_equal(np.isfinite(ratio), count > 0)
 
 
 def scan_by_fancy_indexing(sample, points, h, kernel, rows, seg):
@@ -437,13 +456,13 @@ def test_scan_equals_the_fancy_indexing_scan(monkeypatch, case, profile):
 
 
 def test_grid_equals_one_point_path_in_9d():
-    # beyond d = 7 the column-by-column radius no longer matches np.sum's order; both paths share it
+    # beyond d = 7 the column-by-column radius no longer matches np.sum's order; every path shares it
     smpl = random_sample(400, 9, seed=78)
     grid = np.random.default_rng(79).uniform(0.3, 0.7, size=(6, 9))
     for profile in PROFILES:
         config = EstimatorConfig(p=4.0, h=0.9, kernel=KernelSpec(profile=profile, dimension=9))
         records = estimate_grid(smpl, grid, config)
-        assert records == full_scan(smpl, grid, config)
+        assert records == full_scan(smpl, grid, config) == [estimate_at(smpl, x, config) for x in grid]
         assert min(r.effective_count for r in records) > 1
 
 
