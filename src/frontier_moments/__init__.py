@@ -8,6 +8,7 @@ from .estimator import (
     ScheduleError,
     estimate_at,
     estimate_grid,
+    moment_ratio_pair,
     rate_exponents,
     schedule,
     sup_error,
@@ -40,7 +41,6 @@ from .moments import (
     ScaledMoment,
     effective_count,
     moment_ratio,
-    moment_ratio_pair,
     scaled_moment,
 )
 from .oracle import (

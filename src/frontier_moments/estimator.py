@@ -19,7 +19,7 @@ import numpy as np
 
 from .kernels import KernelSpec
 from .model import Sample, ScalarField, _points, _positive
-from .moments import InsufficientLocalDataError, grid_windows, moment_ratio_pair
+from .moments import _one, grid_windows, point_window
 
 
 class ScheduleError(ValueError):
@@ -69,24 +69,22 @@ class EstimateRecord:
         return self.g_hat is not None
 
 
-def _record(x: tuple[float, ...], config: EstimatorConfig, high, low, count: int) -> EstimateRecord:
-    """The record at x from its two moment ratios; an empty window (count 0) has none."""
-    if count == 0:
-        return EstimateRecord(x=x, g_hat=None, effective_count=count, raw_inverse=None)
-    p, a = config.p, config.a
-    raw_inverse = (((a + 1.0) * p + 1.0) * high - (p + 1.0) * low) / (a * p)
-    g_hat = 1.0 / raw_inverse if raw_inverse > 0.0 else None
-    return EstimateRecord(x=x, g_hat=g_hat, effective_count=count, raw_inverse=raw_inverse)
+def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: KernelSpec):
+    """The two ratios the frontier estimate needs, from a single window scan.
+
+    Returns (high, low, count) where high is the ratio at power (a + 1) p,
+    low the ratio at power p; all four underlying moments share one scale.
+    """
+    _positive(p=p, h=h, a=a)
+    windows = point_window(sample, x, h, kernel)
+    high = _one(windows, windows.ratio((a + 1.0) * p))
+    low = _one(windows, windows.ratio(p))
+    return high, low, int(windows.count[0])
 
 
 def estimate_at(sample: Sample, x, config: EstimatorConfig) -> EstimateRecord:
-    """Frontier estimate at a single point, a one-row grid call; failures are flags, not exceptions."""
-    x = _points(x, sample.dimension, one=True)
-    try:
-        high, low, count = moment_ratio_pair(sample, x, config.p, config.a, config.h, config.kernel)
-    except InsufficientLocalDataError:
-        high, low, count = None, None, 0
-    return _record(tuple(x[0].tolist()), config, high, low, count)
+    """Frontier estimate at a single point, the one-row call of ``estimate_grid``; failures are flags, not exceptions."""
+    return estimate_grid(sample, _points(x, sample.dimension, one=True), config)[0]
 
 
 def estimate_grid(sample: Sample, grid, config: EstimatorConfig) -> list[EstimateRecord]:
@@ -94,15 +92,20 @@ def estimate_grid(sample: Sample, grid, config: EstimatorConfig) -> list[Estimat
 
     Each point scans only the candidate rows of its window (``window_rows``),
     and its sums add in sample order, so every record equals the one a scan
-    of all n rows gives.  A point fails when its window is empty or its
-    1 / g_hat is not positive.
+    of all n rows gives.  The formula runs once per chunk on the ratio
+    arrays, which are NaN where a window is empty.  A point fails when its
+    window is empty or its 1 / g_hat is not positive.
     """
     p, a = config.p, config.a
     records = []
     for points, windows in grid_windows(sample, grid, config.h, config.kernel):
-        high, low = windows.ratio((a + 1.0) * p), windows.ratio(p)
-        columns = zip(points.tolist(), high.tolist(), low.tolist(), windows.count.tolist())
-        records += [_record(tuple(x), config, hi, lo, count) for x, hi, lo, count in columns]
+        # as Python floats would, overflow to inf and inf - inf to NaN without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = (((a + 1.0) * p + 1.0) * windows.ratio((a + 1.0) * p) - (p + 1.0) * windows.ratio(p)) / (a * p)
+        records += [
+            EstimateRecord(x=tuple(x), g_hat=1.0 / r if r > 0.0 else None, effective_count=c, raw_inverse=r if c else None)
+            for x, r, c in zip(points.tolist(), raw.tolist(), windows.count.tolist())
+        ]
     return records
 
 

@@ -33,7 +33,7 @@ _MASS_SLACK = 1e-9
 _NEWTON_STEPS = 8
 # a step below _NEWTON_TOL * (1 + |z|) leaves an error near its square
 _NEWTON_TOL = 1e-9
-# rows one block of ``sample`` solves at once: its scratch is about 14 arrays of this length, not of n
+# rows per block of ``_blocks``: one block of ``sample``'s solve holds about 14 arrays of this length, not of n
 _SAMPLE_ROWS = 4096
 
 _FIELD_KINDS = ("constant", "affine", "sinusoid")
@@ -68,6 +68,19 @@ def _points(x, d: int, *, one: bool = False) -> np.ndarray:
         want = f"one point of {d} coordinate(s), shape ({d},)" if one else f"points of {d} coordinate(s), shape (m, {d})"
         raise ValueError(f"expected {want}; got shape {np.shape(x)}")
     return xs
+
+
+def _blocks(n: int):
+    """Consecutive slices of range(n) of ``_SAMPLE_ROWS`` rows, the last of up to one row more.
+
+    No block holds one row unless n is 1: numpy computes a one-row ``xs @ b``
+    as a dot, which rounds unlike gemv.
+    """
+    lo = 0
+    while lo < n:
+        rows = slice(lo, n if n - lo <= _SAMPLE_ROWS + 1 else lo + _SAMPLE_ROWS)
+        yield rows
+        lo = rows.stop
 
 
 def _positive(p: float = 1.0, h: float = 1.0, a: float = 1.0) -> None:
@@ -122,13 +135,23 @@ class ScalarField:
                 raise ModelError("sinusoid requires |b| < a so the field cannot change sign")
 
     def values(self, xs) -> np.ndarray:
-        """Evaluate on a batch of points of shape (n, d)."""
+        """Evaluate on a batch of points of shape (n, d).
+
+        The inner product runs per block of ``_blocks``: on a whole large
+        array at d >= 8, BLAS's bits depend on its thread count, and on a
+        block they do not.  Different CPU kernels on other hosts may still
+        round differently.
+        """
         xs = _points(xs, self.dimension)
         if self.kind == "constant":
             return np.full(xs.shape[0], self.a)
+        weights = np.asarray(self.b if self.kind == "affine" else self.c)
+        dot = np.empty(xs.shape[0])
+        for rows in _blocks(xs.shape[0]):
+            dot[rows] = xs[rows] @ weights
         if self.kind == "affine":
-            return self.a + xs @ np.asarray(self.b)
-        return self.a + self.b[0] * np.sin(2.0 * math.pi * (xs @ np.asarray(self.c)))
+            return self.a + dot
+        return self.a + self.b[0] * np.sin(2.0 * math.pi * dot)
 
     def __call__(self, x) -> float:
         return float(self.values(_points(x, self.dimension, one=True))[0])
@@ -502,10 +525,7 @@ def sample(model: FrontierModel, n: int, seed: int) -> Sample:
     # keep u strictly below 1 so every sampled response is positive
     np.minimum(u, 1.0 - 2.0**-53, out=u)
     ys = np.empty(n)
-    lo = 0
-    while lo < n:
-        # no block of one row: numpy computes a one-row ``xs @ b`` as a dot, which rounds unlike gemv
-        rows = slice(lo, n if n - lo <= _SAMPLE_ROWS + 1 else lo + _SAMPLE_ROWS)
+    for rows in _blocks(n):
         try:
             ynorm = _quantile_batch(model, xs[rows], u[rows])
         except ModelError:
@@ -513,7 +533,6 @@ def sample(model: FrontierModel, n: int, seed: int) -> Sample:
             _check_monotone(*_tail_fields(model, xs[rows.stop :]))
             raise
         np.multiply(model.g.values(xs[rows]), ynorm, out=ys[rows])
-        lo = rows.stop
     return Sample(xs=xs, ys=ys)
 
 

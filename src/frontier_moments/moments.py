@@ -15,6 +15,8 @@ window's terms in sample order.  Its candidates come from ``window_rows``,
 a superset of each window, and the kernel's own strict test decides which
 candidates are in a window, so every value has the bits a scan of all n
 rows would give.  A one-point function is a one-row call of the grid path.
+The estimator's own combinations of these ratios, with its order
+multiplier a, live in ``estimator``.
 
 A window fails only when it is empty.  The scale M is the largest response
 in the window, so that row has t = Y / M = 1 exactly, and its term in every
@@ -35,6 +37,8 @@ from .model import Sample, _points, _positive, _tensor
 # most candidate rows one batched scan holds at once; a grid with more is scanned in chunks.
 # At 2**14 each transient array is 128 KB: larger chunks raised the studies' peak RSS and ran no faster.
 _CHUNK_ROWS = 2**14
+# np.finfo(float).tiny, the smallest normal float: a product below it has lost bits
+_TINY = 2.0**-1022
 
 
 class InsufficientLocalDataError(RuntimeError):
@@ -89,11 +93,24 @@ class Windows:
         return np.bincount(self.seg, values * self.w, minlength=self.count.size)
 
     def ratio(self, q: float) -> np.ndarray:
-        """mu_q / mu_(q+1) on the scale M per window; NaN where the window is empty."""
+        """mu_q / mu_(q+1) on the scale M per window; NaN where the window is empty.
+
+        The ratio is num / (M den).  Where M den overflows (M near the
+        float maximum) or falls below the smallest normal float, it is
+        num / den / M instead, so the ratio scales exactly with M.
+        """
         tq = self.t**q
         num = self.total(tq)
         den = self.total(tq * self.t)
-        return np.divide(num, self.m * den, out=np.full(num.size, np.nan), where=self.count > 0)
+        full = self.count > 0
+        with np.errstate(over="ignore"):
+            scale = self.m * den
+            fast = full & (scale >= _TINY) & (scale < np.inf)
+            out = np.divide(num, scale, out=np.full(num.size, np.nan), where=fast)
+            slow = full & ~fast
+            if slow.any():
+                out[slow] = num[slow] / den[slow] / self.m[slow]
+        return out
 
     def moments(self, p: float, n: int) -> list[ScaledMoment]:
         """(1/n) sum_i Y_i^p K_h(x - X_i) per window; an empty window is count 0, mantissa 0."""
@@ -286,19 +303,6 @@ def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> f
     _positive(p=p, h=h)
     windows = point_window(sample, x, h, kernel)
     return _one(windows, windows.ratio(p))
-
-
-def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: KernelSpec):
-    """The two ratios the frontier estimate needs, from a single window scan.
-
-    Returns (high, low, count) where high is the ratio at power (a + 1) p,
-    low the ratio at power p; all four underlying moments share one scale.
-    """
-    _positive(p=p, h=h, a=a)
-    windows = point_window(sample, x, h, kernel)
-    high = _one(windows, windows.ratio((a + 1.0) * p))
-    low = _one(windows, windows.ratio(p))
-    return high, low, int(windows.count[0])
 
 
 def effective_count(sample: Sample, x, h: float) -> int:

@@ -17,6 +17,7 @@ import pickle
 import signal
 import time
 import warnings
+from contextlib import suppress
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NoReturn
@@ -382,12 +383,12 @@ def read_dataset(path) -> Sample:
     result.  The bulk path scans the file in blocks for an ASCII separator
     byte (0x1c-0x1f), then checks the header, parses the body with one
     ``np.loadtxt`` call and keeps the table only if the file holds no
-    separator, the call raised and warned nothing, every row has d + 1
-    columns, there is at least one row, every value is finite and every
-    response is positive.  Any other file is read again from its start by
-    the row loop, ``_read_dataset_rows``, whose result or error stands: the
-    loop decides every refusal, with its message, line number and exception
-    type.
+    separator, the call raised and warned nothing, and every row has d + 1
+    columns; ``Sample`` then judges the values (at least one row, all
+    finite, every response positive).  Any other file, and any table
+    ``Sample`` refuses, is read again from its start by the row loop,
+    ``_read_dataset_rows``, whose result or error stands: the loop decides
+    every refusal, with its message, line number and exception type.
     """
     with open(path, "rb") as fh:
         data = fh if fh.seekable() else io.BytesIO(fh.read())
@@ -406,14 +407,11 @@ def read_dataset(path) -> Sample:
                     except (ValueError, UserWarning):
                         pass
                     else:
-                        if (
-                            table.shape[0] >= 1
-                            and table.shape[1] == d + 1
-                            and np.isfinite(table).all()
-                            and (table[:, d] > 0.0).all()
-                        ):
-                            # column slices of the table are strided; the loop's arrays are contiguous
-                            return Sample(xs=np.ascontiguousarray(table[:, :d]), ys=np.ascontiguousarray(table[:, d]))
+                        if table.shape[1] == d + 1:
+                            # Sample refuses no rows, a non-finite value or a response <= 0; the row loop names the line
+                            with suppress(ValueError):
+                                # column slices of the table are strided; the loop's arrays are contiguous
+                                return Sample(xs=np.ascontiguousarray(table[:, :d]), ys=np.ascontiguousarray(table[:, d]))
             finally:
                 text.detach()  # closing the wrapper would close the file the row loop reads
         data.seek(0)

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from frontier_moments import (
     estimate_at,
     estimate_grid,
     evaluation_grid,
+    load_model,
     rate_exponents,
     sample,
     schedule,
@@ -25,6 +27,7 @@ from frontier_moments import (
     w_rate,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 K1 = KernelSpec(dimension=1)
 
 
@@ -133,6 +136,29 @@ class TestEstimateGrid:
         assert records[0] == records[1]
         assert records[0] == estimate_at(s, [0.4], cfg)
         assert records == estimate_grid(s, grid, cfg)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_power_of_two_scaling_is_exact_across_the_float_range(self, d):
+        # Y -> 2**k Y leaves every t = Y / M as it was and scales M exactly, so g_hat scales bit for bit;
+        # near the float maximum M * den overflows, and the ratio divides by den first
+        model = canonical_model() if d == 1 else load_model(ROOT / "benchmarks" / "models" / "plane_2d.json")
+        s = sample(model, 4000, seed=8)
+        grid = evaluation_grid((0.1, 0.9), d, 21)
+        cfg = EstimatorConfig(p=20.0 if d == 1 else 15.0, h=0.05 if d == 1 else 0.1, kernel=KernelSpec(dimension=d))
+        base = estimate_grid(s, grid, cfg)
+        assert all(r.ok for r in base)
+        for k in (-1000, -600, 0, 600, 1000, 1020, 1022):
+            got = estimate_grid(Sample(xs=s.xs, ys=s.ys * 2.0**k), grid, cfg)
+            assert [r.effective_count for r in got] == [r.effective_count for r in base]
+            assert all(r.ok for r in got), k
+            scaled = [r.g_hat * 2.0**k for r in base]
+            if k <= 1000:
+                assert [r.g_hat for r in got] == scaled, k
+                assert [r.raw_inverse for r in got] == [r.raw_inverse * 2.0**-k for r in base], k
+            else:
+                assert_allclose([r.g_hat for r in got], scaled, rtol=8 * np.finfo(float).eps, atol=0)
+        # below about 2**-1015 the formula's terms overflow; as with Python floats, that raises no warning
+        estimate_grid(Sample(xs=s.xs, ys=s.ys * 2.0**-1040), grid, cfg)
 
     def test_grid_success_rate_at_scheduled_parameters(self):
         m = canonical_model()

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -517,3 +520,38 @@ class TestModelConfig:
     def test_omega_inside_support(self):
         with pytest.raises(ModelError):
             make_model(omega=(0.5, 1.5))
+
+
+# d = 8 models whose fields run BLAS gemv on 64,001 rows and on validate's 4**8-point support grid
+BLAS_THREADS_SCRIPT = """
+import hashlib, json
+import numpy as np
+from frontier_moments import RateSchedule, StudyConfig, field_range, model_from_dict, run_study, validate
+rng = np.random.default_rng(2)
+xs, b = rng.random((64001, 8)), rng.random(8).tolist()
+for g in ({"kind": "affine", "a": 1.0, "b": b}, {"kind": "sinusoid", "a": 1.0, "b": 0.5, "c": b}):
+    spec = {"dimension": 8, "g": g, "alpha": {"kind": "affine", "a": 1.2, "b": b}, "D0": {"kind": "constant", "a": 0.25},
+            "C": {"kind": "constant", "a": 0.75}, "f": [{"kind": "uniform"}] * 8}
+    model = model_from_dict(spec)
+    schedule = RateSchedule(c1=0.1, c2=0.1, d=8, eta_g=1.0, alpha_bar=2.0, k1=2.0)
+    report, _ = run_study(model, StudyConfig(sizes=(400, 800), replications=1, schedule=schedule, grid_per_axis=2))
+    parts = (
+        model.g.values(xs),
+        [c.worst_value for c in validate(model).checks],
+        [field_range(f) for f in (model.g, model.alpha)],
+        json.dumps(report, sort_keys=True).encode(),
+    )
+    print(*(hashlib.md5(np.asarray(p).tobytes()).hexdigest() for p in parts))
+"""
+
+
+def test_d8_field_values_do_not_depend_on_the_blas_thread_count():
+    # gemv on a whole large array rounds by its thread split; ScalarField.values runs it per block of _SAMPLE_ROWS
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("needs at least 2 CPUs for OpenBLAS to split the product")
+    out = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT], env=env, capture_output=True, text=True, check=True)
+        out[threads] = proc.stdout
+    assert out["1"].count("\n") == 2 and out["1"] == out["2"]

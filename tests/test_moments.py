@@ -79,6 +79,11 @@ class TestMomentRatio:
             s = Sample(xs=rng.random((100, 1)), ys=np.full(100, c))
             assert_allclose(moment_ratio(s, [0.5], 12.0, 0.3, K1), 1.0 / c, rtol=1e-13)
 
+    def test_responses_near_the_float_maximum(self):
+        # M * den overflowed to inf here, and the ratio came out 0.0
+        s = Sample(xs=np.random.default_rng(9).random((400, 1)), ys=np.full(400, 1e306))
+        assert moment_ratio(s, [0.5], 20.0, 0.05, K1) == pytest.approx(1e-306, rel=1e-15)
+
     def test_empty_window_raises_with_count(self):
         s = uniform_sample(50, seed=6)
         with pytest.raises(InsufficientLocalDataError) as err:

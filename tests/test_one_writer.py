@@ -15,6 +15,12 @@ its row blocks itself.
 Files are opened for writing only by ``model._output_file``, which removes
 a cut-short file; the one other write-mode ``open`` is a study worker's
 end of its result pipe.
+The estimate has one path from window to record: ``estimate_at`` is a
+one-row ``estimate_grid`` call, and the ratio pair, the only function that
+takes the estimator's order multiplier ``a``, lives in ``estimator``, so
+``moments`` knows nothing of the estimator.  The dataset reader's bulk
+path checks the file's format only and leaves the value rules to
+``Sample``.
 Every tensor product comes from ``model._tensor``: no ``np.meshgrid``,
 ``np.outer`` or ``itertools`` beside it.  Processes are forked only by
 ``study._map_cells``, with no ``multiprocessing`` or ``concurrent`` pool
@@ -123,6 +129,32 @@ def numpy_uses(source: str, name: str) -> list[int]:
     ]
 
 
+def functions_with_parameter(source: str, name: str) -> list[str]:
+    """Name of each function or method of ``source`` that has a parameter called ``name``."""
+    return [
+        n.name
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and name in [a.arg for a in n.args.posonlyargs + n.args.args + n.args.kwonlyargs]
+    ]
+
+
+def called_names(source: str, function: str) -> set[str]:
+    """The plain names the top-level function ``function`` of ``source`` calls, such as ``estimate_grid(...)``."""
+    (node,) = [n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == function]
+    return {n.func.id for n in ast.walk(node) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+
+
+def column_compare_sites(module: str, source: str) -> list[str]:
+    """Qualified name of the function around each comparison of a column slice, such as ``table[:, d] > 0.0``."""
+    return sites(
+        module,
+        source,
+        lambda n: isinstance(n, ast.Compare)
+        and any(isinstance(o, ast.Subscript) and isinstance(o.slice, ast.Tuple) for o in [n.left, *n.comparators]),
+    )
+
+
 def imported_modules(source: str) -> list[str]:
     """Top-level name of each module ``source`` imports."""
     names = []
@@ -178,6 +210,22 @@ def test_files_written_only_by_the_output_helper():
     assert [s for module, src in SOURCES.items() for s in attribute_sites(module, src, WRITES)] == []
 
 
+def test_moments_know_nothing_of_the_estimator():
+    assert functions_with_parameter(SOURCES["moments"], "a") == []
+
+
+def test_one_point_estimate_is_a_one_row_grid_call():
+    calls = called_names(SOURCES["estimator"], "estimate_at")
+    assert "estimate_grid" in calls
+    moments_functions = {n.name for n in ast.parse(SOURCES["moments"]).body if isinstance(n, ast.FunctionDef)}
+    assert calls & moments_functions == set()
+
+
+def test_dataset_values_judged_by_sample_only():
+    assert "study.read_dataset" not in attribute_sites("study", SOURCES["study"], {"isfinite"})
+    assert "study.read_dataset" not in column_compare_sites("study", SOURCES["study"])
+
+
 def test_tensor_products_built_only_by_the_grid_builder():
     for module, src in SOURCES.items():
         assert numpy_uses(src, "meshgrid") == [] and numpy_uses(src, "outer") == [], module
@@ -214,3 +262,9 @@ def test_guard_sees_copies():
     src = "import os\nimport multiprocessing.pool\nfrom concurrent.futures import ProcessPoolExecutor\ndef f():\n    return os.fork()\n"
     assert attribute_sites("m", src, {"fork"}, "os") == ["m.f"]
     assert imported_modules(src) == ["os", "multiprocessing", "concurrent"]
+    src = "def f(x, a):\n    return g(x)\nclass K:\n    def h(self, *, a=1):\n        return m.g(a)\ndef g(x):\n    return f(x, 1)\n"
+    assert functions_with_parameter(src, "a") == ["f", "h"]
+    assert called_names(src, "f") == {"g"} and called_names(src, "g") == {"f"}
+    src = "import numpy as np\ndef f(t, d):\n    return (t[:, d] > 0.0).all() and t.shape[1] == d and np.isfinite(t).all()\n"
+    assert column_compare_sites("m", src) == ["m.f"]
+    assert attribute_sites("m", src, {"isfinite"}) == ["m.f"]

@@ -798,6 +798,20 @@ class TestEstimateCommand:
             assert "lo < hi" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_responses_near_the_float_maximum_estimate(self, tmp_path, capsys):
+        # plane_2d scaled by 2**1020: M * den overflowed in every window, and all 441 points failed with exit 3
+        data = tmp_path / "data.csv"
+        model = str(ROOT / "benchmarks" / "models" / "plane_2d.json")
+        assert main(["simulate", "--model", model, "--n", "8000", "--seed", "7", "--out", str(data)]) == 0
+        s = read_dataset(data)
+        write_dataset(Sample(xs=s.xs, ys=s.ys * 2.0**1020), data)
+        out = tmp_path / "o.csv"
+        assert main(["estimate", str(data), "--p", "15", "--h", "0.1", "--grid", "21", "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 441 and all(row["g_hat"] for row in rows)
+
     def test_empty_grid_everywhere_exits_3(self, tmp_path):
         # one observation far from the evaluation window
         data = tmp_path / "data.csv"

@@ -313,6 +313,15 @@ def two_term_sample():
     return sample(load_model(ROOT / "models" / "two_term_tail.json"), 2000, seed=71)  # D0 != 0
 
 
+def few_large_sample(d):
+    # about 1 in 200 responses is 1.0 and the rest 0.1: at p = 1, 1 / g_hat < 0 in a window that holds a large
+    # response and more than about 7 small ones per large one, and 1 / g_hat = 10 in one with no large response.
+    # No window lands near 0, where the reference's np.sum order would cancel past rtol.
+    # Grid points outside [0, 1]^d have empty windows.
+    rng = np.random.default_rng(90 + d)
+    return Sample(xs=rng.random((600, d)), ys=np.where(rng.random(600) < 0.005, 1.0, 0.1))
+
+
 def ball_sample_2d():
     # (0.3, 0.3) + (3/16, 4/16) lies exactly at distance h = 5/16
     xs = np.array([[0.3, 0.3], [0.4875, 0.55], [0.31, 0.32], [0.28, 0.29], [0.9, 0.9]])
@@ -328,6 +337,8 @@ DIFFERENTIAL = {
     "d2-on-ball": (ball_sample_2d, [[0.3, 0.3], [0.4875, 0.55], [0.0, 1.0], [0.6, 0.6]], 0.3125),
     "d2-random": (lambda: random_sample(1500, 2, seed=72), evaluation_grid((-0.1, 1.1), 2, 9), 0.1),
     "d3-random": (lambda: random_sample(1500, 3, seed=73), evaluation_grid((-0.1, 1.1), 3, 5), 0.2),
+    "d1-nonpositive-and-empty": (lambda: few_large_sample(1), evaluation_grid((-0.3, 1.3), 1, 33), 0.1),
+    "d2-nonpositive-and-empty": (lambda: few_large_sample(2), evaluation_grid((-0.3, 1.3), 2, 9), 0.2),
 }
 
 
@@ -337,10 +348,12 @@ def test_batched_grid_matches_per_point_sums(case, profile):
     make, grid, h = DIFFERENTIAL[case]
     smpl, grid = make(), np.asarray(grid, dtype=float)
     kernel = KernelSpec(profile=profile, dimension=smpl.dimension)
+    outcomes = set()
     for p, a in ((1.0, 1.0), (7.5, 0.5), (120.0, 2.0)):
         config = EstimatorConfig(p=p, h=h, kernel=kernel, a=a)
         want = per_point_reference(smpl, grid, config)
         records = estimate_grid(smpl, grid, config)
+        outcomes |= {"empty" if r.raw_inverse is None else "ok" if r.ok else "nonpositive" for r in records}
         windows = [w for _, w in moments_module.grid_windows(smpl, grid, h, kernel)]
         high = np.concatenate([w.ratio((a + 1.0) * p) for w in windows])
         low = np.concatenate([w.ratio(p) for w in windows])
@@ -358,6 +371,8 @@ def test_batched_grid_matches_per_point_sums(case, profile):
             assert rec.ok == (raw > 0.0)
     if case == "gaps-and-one-point":
         assert [r.effective_count for r in records] == [0, want[1][0], 0, 1, want[4][0], 0]
+    if "nonpositive" in case:
+        assert outcomes == {"empty", "ok", "nonpositive"}
 
 
 @pytest.mark.parametrize("profile", PROFILES)
