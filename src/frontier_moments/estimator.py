@@ -93,18 +93,35 @@ def estimate_grid(sample: Sample, grid, config: EstimatorConfig) -> list[Estimat
     Each point scans only the candidate rows of its window (``window_rows``),
     and its sums add in sample order, so every record equals the one a scan
     of all n rows gives.  The formula runs once per chunk on the ratio
-    arrays, which are NaN where a window is empty.  A point fails when its
-    window is empty or its 1 / g_hat is not positive.
+    arrays, which are NaN where a window is empty.  Where a non-empty
+    window's 1 / g_hat is not finite (responses near 2^-1020, whose
+    formula terms pass the float maximum), it is taken on the window's
+    scale M instead: raw_M from the ratios times M, g_hat = M / raw_M and
+    1 / g_hat = raw_M / M.  A point fails when its window is empty or its
+    1 / g_hat is not positive and finite.
     """
     p, a = config.p, config.a
+
+    def inverse(high, low):
+        return (((a + 1.0) * p + 1.0) * high - (p + 1.0) * low) / (a * p)
+
     records = []
     for points, windows in grid_windows(sample, grid, config.h, config.kernel):
-        # as Python floats would, overflow to inf and inf - inf to NaN without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            raw = (((a + 1.0) * p + 1.0) * windows.ratio((a + 1.0) * p) - (p + 1.0) * windows.ratio(p)) / (a * p)
+        # as Python floats would, overflow to inf and inf - inf to NaN without a warning;
+        # 1 / raw is read only where raw > 0
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            high, low = windows.ratio((a + 1.0) * p), windows.ratio(p)
+            raw = inverse(high, low)
+            g_hat = 1.0 / raw
+            lost = np.flatnonzero((windows.count > 0) & ~np.isfinite(raw))
+            if lost.size:
+                m = windows.m[lost]
+                raw_m = inverse(high[lost] * m, low[lost] * m)
+                raw[lost], g_hat[lost] = raw_m / m, m / raw_m
+        ok = (raw > 0.0) & (raw < np.inf)
         records += [
-            EstimateRecord(x=tuple(x), g_hat=1.0 / r if r > 0.0 else None, effective_count=c, raw_inverse=r if c else None)
-            for x, r, c in zip(points.tolist(), raw.tolist(), windows.count.tolist())
+            EstimateRecord(x=tuple(x), g_hat=g if o else None, effective_count=c, raw_inverse=r if c else None)
+            for x, g, o, r, c in zip(points.tolist(), g_hat.tolist(), ok.tolist(), raw.tolist(), windows.count.tolist())
         ]
     return records
 

@@ -9,14 +9,16 @@ log_scale = p * log(M).  Ratios of consecutive moments share one window
 scan and one scale, so the common factor cancels without ever being formed.
 
 Every moment is read from one scan (``_scan``): a batch of (query point,
-sample row) candidate pairs goes through one kernel call, and every
-per-window sum is a ``np.bincount`` over the window index, which adds each
-window's terms in sample order.  Its candidates come from ``window_rows``,
-a superset of each window, and the kernel's own strict test decides which
-candidates are in a window, so every value has the bits a scan of all n
-rows would give.  A one-point function is a one-row call of the grid path.
-The estimator's own combinations of these ratios, with its order
-multiplier a, live in ``estimator``.
+sample row) candidate pairs goes through one column-wise kernel pass
+(``KernelSpec.window_weights``), and every per-window sum is a
+``np.bincount`` over the window index, which adds each window's terms in
+sample order.  Its candidates come from ``window_rows``, which hands each
+query point the chord of its ball over each neighbouring cell, a superset
+of its window; the kernel's own strict test decides which candidates are
+in a window, so every value has the bits a scan of all n rows would give.
+A one-point function is a one-row call of the grid path.  The estimator's
+own combinations of these ratios, with its order multiplier a, live in
+``estimator``.
 
 A window fails only when it is empty.  The scale M is the largest response
 in the window, so that row has t = Y / M = 1 exactly, and its term in every
@@ -39,6 +41,9 @@ from .model import Sample, _points, _positive, _tensor
 _CHUNK_ROWS = 2**14
 # np.finfo(float).tiny, the smallest normal float: a product below it has lost bits
 _TINY = 2.0**-1022
+# a run's radius in units of h: the kernel accepts a squared radius that rounds below 1 from at most
+# 1 + (d + 5) eps, and the chord's own rounding costs a few eps more; 2^-40 covers both for any d <= 16
+_REACH = 1.0 + 2.0**-40
 
 
 class InsufficientLocalDataError(RuntimeError):
@@ -78,8 +83,9 @@ class Windows:
 
     ``seg``, ``w`` and ``t`` hold one entry per in-window row: the index of
     its window, its kernel weight and Y / M, ordered by window and then by
-    sample row.  ``m`` (M, the largest response in the window; 0 when it
-    is empty) and ``count`` hold one entry per window.
+    sample row, so each window's rows are one run.  ``m`` (M, the largest
+    response in the window, one ``np.maximum.reduceat`` over its run; 0
+    when it is empty) and ``count`` hold one entry per window.
     """
 
     seg: np.ndarray
@@ -125,21 +131,28 @@ def _scan(sample: Sample, points: np.ndarray, h: float, kernel: KernelSpec, rows
     """The one scan of the sample: the windows of ``points`` (shape (G, d)) over candidate pairs.
 
     Candidate k pairs point seg[k] with sample row rows[k], sorted by
-    (seg, row).  One kernel call weighs every pair, and the pairs with
-    positive weight are the windows; M per window comes from
-    ``np.maximum.at``, so every t = Y / M lies in (0, 1].
+    (seg, row).  One column-wise kernel pass (``KernelSpec.window_weights``)
+    weighs every pair, and the pairs with positive weight are the windows;
+    M per window is a ``np.maximum.reduceat`` over its rows, so every
+    t = Y / M lies in (0, 1].
     """
-    # np.take gathers the (m, d) kernel inputs 4x faster than fancy indexing (2.2 vs 9.2 ms per 2-D 16,000-row cell)
-    weights = kernel.scaled_density(np.take(points, seg, axis=0), np.take(sample.xs, rows, axis=0), h)
-    inside = weights > 0.0
-    # filter only if a candidate is outside its window: in d = 1 none usually is, and filtering cost study-1d 7 %
-    if not inside.all():
-        keep = np.flatnonzero(inside)
-        seg, weights, rows = np.take(seg, keep), np.take(weights, keep), np.take(rows, keep)
+    g = points.shape[0]
+    # seg is sorted: the candidates of point j are bounds[j]:bounds[j + 1]
+    bounds = np.searchsorted(seg, np.arange(g + 1))
+    count = np.diff(bounds)
+    inside, weights = kernel.window_weights(points, count, sample.xs, rows, h)
+    # inside is None when every candidate is in its window: in d = 1 usually all are, and filtering cost study-1d 7 %
+    if inside is not None:
+        rows = np.take(rows, inside)
+        count = np.diff(np.searchsorted(inside, bounds))
+        seg = np.repeat(np.arange(g), count)
     ys = np.take(sample.ys, rows)
-    m = np.zeros(points.shape[0])
-    np.maximum.at(m, seg, ys)
-    return Windows(seg=seg, w=weights, t=ys / np.take(m, seg), m=m, count=np.bincount(seg, minlength=points.shape[0]))
+    m = np.zeros(g)
+    full = np.flatnonzero(count)
+    if full.size:
+        # a maximum does not depend on the order of its terms: the bits np.maximum.at gives
+        m[full] = np.maximum.reduceat(ys, np.take(np.cumsum(count) - count, full))
+    return Windows(seg=seg, w=weights, t=ys / np.repeat(m, count), m=m, count=count)
 
 
 def point_window(sample: Sample, x, h: float, kernel: KernelSpec) -> Windows:
@@ -155,6 +168,7 @@ def grid_windows(sample: Sample, grid, h: float, kernel: KernelSpec):
         raise ValueError("query points must be finite")
     if not math.isfinite(h):
         raise ValueError(f"bandwidth h must be finite, got {h!r}")
+    _positive(h=h)
     for chunk, rows, seg in window_rows(sample, grid, h):
         points = grid[chunk]
         yield points, _scan(sample, points, h, kernel, rows, seg)
@@ -182,11 +196,17 @@ def window_rows(sample: Sample, grid, h: float):
 
     The sample is sorted once by a cell on its first d - 1 coordinates,
     then by its last one: the key is cell * n + rank of the last coordinate.
-    A grid point's box, x +- h on every axis padded outward by a few ulp,
-    then covers one contiguous run of keys per neighbouring cell.  Cells
-    are at least h wide, and wide enough that there are at most n of them.
-    The index holds two n-length arrays in d = 1 and about four in d >= 2,
-    each dropped once it is used.
+    Cells are h / 2 wide while a grid point's box meets at most 25 of them
+    (d <= 3) and h wide beyond, and wide enough that there are at most n
+    of them.  A grid point's box, x +- h on every axis padded outward by a
+    few ulp, picks the neighbouring cells.  In each, the point's run of
+    keys is the chord of the ball over the cell: x_d +- sqrt(h^2 - delta^2),
+    where delta is the distance from the point's first d - 1 coordinates to
+    the cell, and a cell with delta >= h is skipped.  The radius is padded by
+    ``_REACH`` and every bound by a few ulp, so each run stays a superset of
+    what the kernel's test accepts.  In d = 1 there is one cell, and the run
+    is the box's slab.  The index holds two n-length arrays in d = 1 and
+    about four in d >= 2, each dropped once it is used.
     """
     xs = sample.xs
     n, d = xs.shape
@@ -194,13 +214,15 @@ def window_rows(sample: Sample, grid, h: float):
     # rounding is monotone, so every point the kernel's (x - X) / h test accepts lies in
     # [x - h, x + h] as rounded; the pad keeps the box a superset if that test rounds differently
     pad = 8.0 * np.spacing(np.maximum(np.abs(grid), h))
-    lower, upper = grid - h - pad, grid + h + pad
+    lower, upper = grid[:, :-1] - h - pad[:, :-1], grid[:, :-1] + h + pad[:, :-1]
 
     lead = xs[:, :-1]
     origin = lead.min(axis=0)
     span = lead.max(axis=0) - origin
     per_axis = _cells_per_axis(n, d - 1) if d > 1 else 1
-    side = np.maximum(h, span / (per_axis - 1) if per_axis > 1 else 2.0 * span)
+    # a box meets 5 half-h cells per axis (6 when the pad tips it over an edge), so about 25 while d <= 3;
+    # beyond, h-wide cells keep it at 3 per axis
+    side = np.maximum(h / 2.0 if d <= 3 else h, span / (per_axis - 1) if per_axis > 1 else 2.0 * span)
 
     def cell(v):
         # monotone in v, so a point inside a box lies in a cell between those of the box's corners
@@ -208,18 +230,29 @@ def window_rows(sample: Sample, grid, h: float):
 
     count = cell(lead.max(axis=0)).astype(np.int64) + 1
     strides = np.array([np.prod(count[k + 1 :]) for k in range(d - 1)], dtype=np.int64)
-    by_last = np.argsort(xs[:, -1])
-    sorted_last = np.take(xs[:, -1], by_last)
-    # each box's rank range in the last coordinate: the run of keys it covers in each cell
-    below = np.searchsorted(sorted_last, lower[:, -1], "left")[:, None]
-    above = np.searchsorted(sorted_last, upper[:, -1], "right")[:, None]
-    del sorted_last
-
-    first = np.clip(cell(lower[:, :-1]), 0, count).astype(np.int64)
-    last = np.clip(cell(upper[:, :-1]), -1, count - 1).astype(np.int64)
+    first = np.clip(cell(lower), 0, count).astype(np.int64)
+    last = np.clip(cell(upper), -1, count - 1).astype(np.int64)
     reach = int(np.max(last - first, initial=0)) + 1
     cells = first[:, None, :] + _tensor(np.arange(reach, dtype=np.int64), d - 1)
     valid = np.all(cells <= last[:, None, :], axis=2)
+
+    # delta per (point, cell), in units of h: the gap from the point to the cell's edges as computed, less
+    # a slack that covers where a row's computed cell and those edges disagree by rounding
+    slack = 16.0 * np.spacing(np.abs(origin) + span + 2.0 * side)
+    edge = origin + cells * side
+    x = grid[:, None, :-1]
+    gap = np.maximum(np.maximum(edge - x, x - (edge + side)) - slack, 0.0) / h
+    rho2 = (gap * gap).sum(axis=2)
+    valid &= rho2 < _REACH * _REACH
+    half = h * np.sqrt(np.maximum(_REACH * _REACH - rho2, 0.0))
+
+    by_last = np.argsort(xs[:, -1])
+    sorted_last = np.take(xs[:, -1], by_last)
+    # each chord's rank range in the last coordinate: its run of keys within its cell
+    below = np.searchsorted(sorted_last, grid[:, -1:] - half - pad[:, -1:], "left")
+    above = np.searchsorted(sorted_last, grid[:, -1:] + half + pad[:, -1:], "right")
+    del sorted_last
+
     base = (cells @ strides) * n
     starts, stops = base + below, base + above
     if count.prod() == 1:
@@ -228,9 +261,11 @@ def window_rows(sample: Sample, grid, h: float):
         order = by_last
     else:
         # the cell of each row, in last-coordinate order; a stable sort on it orders by cell, then by
-        # last coordinate, and by_cell[j] is the rank of order[j]'s last coordinate
+        # last coordinate, and by_cell[j] is the rank of order[j]'s last coordinate.  On the smallest
+        # unsigned type that holds every cell, numpy sorts keys of 16 bits or fewer by radix, to the
+        # same permutation
         keys = np.take(cell(lead).astype(np.int64) @ strides, by_last)
-        by_cell = np.argsort(keys, kind="stable")
+        by_cell = np.argsort(keys.astype(np.min_scalar_type(count.prod() - 1)), kind="stable")
         order = np.take(by_last, by_cell)
         del by_last
         keys = np.take(keys, by_cell)

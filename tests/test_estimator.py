@@ -147,17 +147,19 @@ class TestEstimateGrid:
         cfg = EstimatorConfig(p=20.0 if d == 1 else 15.0, h=0.05 if d == 1 else 0.1, kernel=KernelSpec(dimension=d))
         base = estimate_grid(s, grid, cfg)
         assert all(r.ok for r in base)
-        for k in (-1000, -600, 0, 600, 1000, 1020, 1022):
+        for k in (-1020, -1018, -1000, -600, 0, 600, 1000, 1020, 1022):
             got = estimate_grid(Sample(xs=s.xs, ys=s.ys * 2.0**k), grid, cfg)
             assert [r.effective_count for r in got] == [r.effective_count for r in base]
             assert all(r.ok for r in got), k
+            # near 2**-1020 the formula's terms pass the float maximum: no estimate may come from an overflow
+            assert all(r.g_hat > 0.0 and math.isfinite(r.raw_inverse) for r in got), k
             scaled = [r.g_hat * 2.0**k for r in base]
-            if k <= 1000:
+            if abs(k) <= 1000:
                 assert [r.g_hat for r in got] == scaled, k
                 assert [r.raw_inverse for r in got] == [r.raw_inverse * 2.0**-k for r in base], k
             else:
                 assert_allclose([r.g_hat for r in got], scaled, rtol=8 * np.finfo(float).eps, atol=0)
-        # below about 2**-1015 the formula's terms overflow; as with Python floats, that raises no warning
+        # below about 2**-1022 the ratios themselves pass the float maximum; as with Python floats, no warning
         estimate_grid(Sample(xs=s.xs, ys=s.ys * 2.0**-1040), grid, cfg)
 
     def test_grid_success_rate_at_scheduled_parameters(self):

@@ -171,3 +171,46 @@ def test_density_equals_the_axis_sum_bit_for_bit(profile, d):
     assert k.density(np.zeros(d)) == k.normalization
     for row in u[::97]:
         assert k.density(row) == float(density_by_axis_sum(k, row)[0])
+
+
+@pytest.mark.parametrize("profile", ["epanechnikov_ball", "biweight_ball", "uniform_ball"])
+@pytest.mark.parametrize("d", range(1, 10))
+def test_window_weights_equal_scaled_density_bit_for_bit(profile, d):
+    # the scan's column-wise pass keeps the pairs with positive weight, each with the bits scaled_density gives it
+    k = KernelSpec(profile=profile, dimension=d)
+    rng = np.random.default_rng(200 + d)
+    h = 0.25
+    points = np.vstack([np.full((1, d), 0.5), rng.uniform(0.3, 0.7, size=(4, d))])
+    # dyadic offsets: x - h u is exact, so the rows x - h u lie exactly on the ball around x = 0.5
+    sphere = sphere_points(d)
+    on_ball = np.vstack([0.5 - h * sphere, np.nextafter(0.5 - h * sphere, 0.5), np.nextafter(0.5 - h * sphere, -1.0)])
+    xs = np.vstack([on_ball, rng.uniform(0.0, 1.0, size=(400, d))])
+    extra = (40, 0, 150, 7, 60)
+    counts = np.array(extra) + [on_ball.shape[0], 0, 0, 0, 0]
+    rows = np.concatenate([np.arange(on_ball.shape[0])] + [rng.choice(xs.shape[0], c, replace=False) for c in extra])
+    want = k.scaled_density(np.repeat(points, counts, axis=0), xs[rows], h)
+    inside, weights = k.window_weights(points, counts, xs, rows, h)
+    assert inside is not None
+    assert np.array_equal(inside, np.flatnonzero(want > 0.0))
+    assert weights.dtype == want.dtype and weights.tobytes() == want[want > 0.0].tobytes()
+    assert 0 < inside.size < rows.size
+    # rows exactly on the ball weigh nothing; one ulp inside, they weigh something
+    assert np.all(want[: sphere.shape[0]] == 0.0)
+    assert np.all(want[sphere.shape[0] : 2 * sphere.shape[0]] > 0.0)
+    # when every candidate is inside, no index comes back
+    first = rows[: counts[0]][want[: counts[0]] > 0.0]
+    inside, weights = k.window_weights(points[:1], np.array([first.size]), xs, first, h)
+    assert inside is None and weights.tobytes() == want[: counts[0]][want[: counts[0]] > 0.0].tobytes()
+
+
+def test_window_weights_drop_pairs_whose_weight_underflows():
+    # at h = 2^1000, a pair with r^2 = 1 - 2^-39 has biweight weight 0.9375 * 2^-78 / 2^1000, which rounds to 0:
+    # inside the ball by the radius test, but out of the window, as scaled_density says
+    k = KernelSpec(profile="biweight_ball", dimension=1)
+    h = 2.0**1000
+    xs = -h * np.array([[0.5], [1.0 - 2.0**-40], [0.25], [1.0]])
+    rows = np.arange(4)
+    want = k.scaled_density(np.zeros((4, 1)), xs, h)
+    assert want[1] == 0.0 and np.count_nonzero(want) == 2
+    inside, weights = k.window_weights(np.zeros((1, 1)), np.array([4]), xs, rows, h)
+    assert inside.tolist() == [0, 2] and weights.tobytes() == want[[0, 2]].tobytes()

@@ -178,7 +178,7 @@ def test_query_points_coerced_only_by_the_point_rule():
 
 
 def test_kernel_scanned_only_by_the_windows_primitive():
-    sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"scaled_density"})]
+    sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"window_weights"})]
     assert sites == ["moments._scan"]
 
 

@@ -136,6 +136,14 @@ def test_infinite_bandwidth_raises(name):
         calls[name]()
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1])
+@pytest.mark.parametrize("d", sorted(SPECS))
+def test_nonpositive_bandwidth_raises(d, h):
+    # refused before the window index runs: it divides by h, and a negative h gave a negative array length
+    with pytest.raises(ValueError, match="bandwidth h must be positive"):
+        effective_count(SAMPLES[d], np.full(d, 0.5), h)
+
+
 def test_flat_grid_in_one_dimension_is_one_point_per_entry():
     flat = np.linspace(0.1, 0.9, 9)
     records = estimate_grid(SAMPLES[1], flat, CONFIGS[1])

@@ -1,12 +1,14 @@
 """The grid path's batched scan against a scan of the whole sample.
 
 ``estimate_grid`` hands each grid point only the candidate rows of its
-kernel window (``moments.window_rows``) and scans every candidate of a
-chunk of grid points in one kernel call; the kernel's strict test then
-decides which candidates are in a window.  Every record must equal, field
+kernel window (``moments.window_rows``): the chord of its ball over each
+neighbouring cell.  It weighs every candidate of a chunk of grid points in
+one column-wise kernel pass; the kernel's strict test then decides which
+candidates are in a window.  Every record must equal, field
 for field and exactly, the one a scan of all n rows gives.
 """
 
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -76,7 +78,9 @@ def with_rows(xs, ys, extra_xs):
 
 
 @pytest.mark.parametrize("profile", PROFILES)
-@pytest.mark.parametrize("d, n, per_axis, h", [(1, 3000, 41, 0.02), (2, 3000, 9, 0.08), (3, 2000, 4, 0.2)])
+@pytest.mark.parametrize(
+    "d, n, per_axis, h", [(1, 3000, 41, 0.02), (2, 3000, 9, 0.08), (3, 2000, 4, 0.2), (4, 3000, 4, 0.3)]
+)
 def test_random_samples(profile, d, n, per_axis, h):
     smpl = random_sample(n, d, seed=10 + d)
     records = assert_matches_full_scan(smpl, evaluation_grid((0.05, 0.95), d, per_axis), h, profile)
@@ -117,7 +121,7 @@ def test_points_exactly_on_the_ball_in_2d(profile):
     assert_matches_full_scan(smpl, [[0.3, 0.3], [0.33, 0.26]], 0.05, profile)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_large_coordinates_with_a_small_bandwidth(d):
     # near 1e6 one ulp is about 1.2e-10, so the bounds x +- h round on the scale of x, not of h
     h = 1e-3
@@ -129,6 +133,53 @@ def test_large_coordinates_with_a_small_bandwidth(d):
     for profile in PROFILES:
         records = assert_matches_full_scan(smpl, grid, h, profile)
         assert any(r.ok for r in records)
+
+
+def edge_and_chord_sample(d):
+    """(sample, grid, h): rows on the index's cell edges and chord ends, and one ulp either side of each.
+
+    With rows at 0 and 1 on every axis and n large enough, the cells are
+    h / 2 = 5/32 wide from origin 0, so every edge k 5/32 is exact.  From
+    the grid point 0.5 the edge 10/32 lies 3/16 away, so the 3-4-5
+    triangle in sixteenths puts that edge's chord ends x_d +- 4/16 exactly
+    on the h = 5/16 ball; the other chords round.  The second grid point
+    lies on an edge, and the edge h away from it is skipped.  The third lies
+    2^-45 short of h from the edge 15/32, so the chord in the cell beyond
+    that edge is about 4e-7 long.
+    """
+    h = 0.3125
+    side = h / 2.0
+    edges = side * np.arange(7)
+    grid = np.array([[0.5] * d, [3 * side] * (d - 1) + [0.4], [3 * side + h - 2.0**-45] + [0.5] * (d - 1)])
+    rng = np.random.default_rng(97 + d)
+    rows = [np.zeros((1, d)), np.ones((1, d)), rng.random((400, d))]
+    for x in grid:
+        # each lead coordinate is x's own or an edge within h of it; the last is x's own or a chord end
+        near = [np.concatenate(([x[k]], edges[np.abs(edges - x[k]) <= h])) for k in range(d - 1)]
+        for lead in itertools.product(*near):
+            delta2 = sum((a - b) ** 2 for a, b in zip(lead, x))
+            if delta2 > h * h:
+                continue
+            chord = np.sqrt(h * h - delta2)
+            for shift in (-np.inf, 0.0, np.inf):
+                for end in (x[-1] - chord, x[-1], x[-1] + chord):
+                    for last in (np.nextafter(end, -np.inf), end, np.nextafter(end, np.inf)):
+                        row = np.array([*lead, last])
+                        row[:-1] = row[:-1] if shift == 0.0 else np.nextafter(row[:-1], shift)
+                        rows.append(row[None, :])
+    xs = np.vstack(rows)
+    return Sample(xs=xs, ys=np.resize([1.0, 2.5, 0.7, 1.9, 0.4], xs.shape[0])), grid, h
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+@pytest.mark.parametrize("d", [2, 3])
+def test_rows_on_cell_edges_and_chord_ends(profile, d):
+    smpl, grid, h = edge_and_chord_sample(d)
+    assert _cells_per_axis(smpl.n, d - 1) - 1 >= 2 / h  # so the cells are h / 2 wide
+    u = (grid[0] - smpl.xs) / h
+    assert np.count_nonzero(np.sum(u * u, axis=1) == 1.0) >= 4  # the exact chord ends
+    records = assert_matches_full_scan(smpl, grid, h, profile)
+    assert min(r.effective_count for r in records) > 1
 
 
 def test_grid_points_outside_the_sample_have_empty_windows():
@@ -181,15 +232,15 @@ def all_rows(smpl, grid, h):
 
 
 def counting_scans(monkeypatch):
-    """Patch ``KernelSpec.scaled_density`` to record the candidate count of every call."""
+    """Patch ``KernelSpec.window_weights`` to record the candidate count of every call."""
     scanned = []
-    original = kernels_module.KernelSpec.scaled_density
+    original = kernels_module.KernelSpec.window_weights
 
-    def counting(self, x, xs, h):
-        scanned.append(len(xs))
-        return original(self, x, xs, h)
+    def counting(self, points, counts, xs, rows, h):
+        scanned.append(len(rows))
+        return original(self, points, counts, xs, rows, h)
 
-    monkeypatch.setattr(kernels_module.KernelSpec, "scaled_density", counting)
+    monkeypatch.setattr(kernels_module.KernelSpec, "window_weights", counting)
     return scanned
 
 
@@ -213,6 +264,20 @@ def test_grid_scans_a_fraction_of_the_sample(monkeypatch, path, per_axis):
     candidates = np.concatenate([np.bincount(seg, minlength=c.stop - c.start) for c, _, seg in chunks])
     assert candidates.size == grid.shape[0]
     assert candidates.max() < n / 4
+
+
+@pytest.mark.parametrize("size_index, n", [(0, 4000), (1, 16000)])
+def test_candidates_stay_near_the_window_points(size_index, n):
+    # the plane_2d cells of the benchmark's first study: the chords hand the kernel at most 1.4 candidates
+    # per window point (about 1.31 here), where whole cells of the box handed it 1.89
+    model = load_model(ROOT / "benchmarks" / "models" / "plane_2d.json")
+    sched = RateSchedule.optimal(model.dimension, model.eta_g, field_range(model.alpha)[1])
+    p, h = schedule(n, sched)
+    smpl = sample(model, n, seed=study_module.cell_seed(1000, size_index, 0, 2))
+    grid = evaluation_grid(model.omega, 2, 21)
+    candidates = sum(rows.size for _, rows, _ in window_rows(smpl, grid, h))
+    records = estimate_grid(smpl, grid, EstimatorConfig(p=p, h=h, kernel=KernelSpec(dimension=2)))
+    assert candidates <= 1.4 * sum(r.effective_count for r in records)
 
 
 SCIPY_LOADED = "import sys; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
@@ -431,6 +496,8 @@ FANCY_INDEXING = {
     "d1-canonical": (lambda: sample(load_model(CANONICAL), 4000, seed=76), evaluation_grid((0.1, 0.9), 1, 101), 0.03),
     "d2-plane": (lambda: plane_2d_sample(4000), evaluation_grid((0.1, 0.9), 2, 21), 0.08),
     "d3-random": (lambda: random_sample(3000, 3, seed=77), evaluation_grid((0.05, 0.95), 3, 6), 0.15),
+    # beyond d = 3 the index cuts h-wide cells
+    "d4-random": (lambda: random_sample(3000, 4, seed=96), evaluation_grid((0.05, 0.95), 4, 4), 0.3),
     # at h = 0.02 most windows of a 300-point plane sample hold no point or one
     "d2-tiny-h": (lambda: plane_2d_sample(300), evaluation_grid((0.1, 0.9), 2, 31), 0.02),
     "d1-gaps-and-one-point": (gapped_sample, [[0.0], [0.3], [0.45], [0.51], [0.7], [1.0]], 0.05),
