@@ -69,6 +69,7 @@ class EstimateRecord:
         return self.g_hat is not None
 
 
+# kept with no caller in src/: benchmarks/tracing.py wraps it, and tests/test_tracing_targets.py checks for it
 def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: KernelSpec):
     """The two ratios the frontier estimate needs, from a single window scan.
 

@@ -65,23 +65,6 @@ class KernelSpec:
     def normalization(self) -> float:
         return _norm_const(self.degree, self.dimension)
 
-    @property
-    def is_smooth(self) -> bool:
-        """False for the flat profile, which jumps at the ball boundary."""
-        return self.degree > 0
-
-    @property
-    def lipschitz_constant(self) -> float:
-        """Bound on |K(u) - K(v)| / ||u - v||; infinite for the flat profile."""
-        s, c = self.degree, self.normalization
-        if s == 0:
-            return math.inf
-        if s == 1:
-            return 2.0 * c
-        # |d/dr (1 - r^2)^s| = 2 s c r (1 - r^2)^(s-1), maximal at r = 1/sqrt(2s - 1)
-        r = 1.0 / math.sqrt(2 * s - 1)
-        return 2.0 * s * c * r * (1.0 - r * r) ** (s - 1)
-
     def _profile(self, r2):
         """c (1 - r^2)^s, the profile at squared radii r2 < 1."""
         return self.normalization * (1.0 - r2) ** self.degree
@@ -97,6 +80,7 @@ class KernelSpec:
         vals = np.where(r2 < 1.0, self._profile(r2), 0.0)
         return float(vals[0]) if single else vals
 
+    # kept with no caller in src/: benchmarks/tracing.py wraps it, and the tests check window_weights against it
     def scaled_density(self, x, xs, h: float):
         """Rescaled kernel h^(-d) K((x - xs) / h) with bandwidth h > 0."""
         _positive(h=h)

@@ -202,6 +202,7 @@ class MarginalDensity:
         t = np.asarray(t, dtype=float)
         return 1.0 + self.slope * (t - 0.5)
 
+    # kept with no caller in src/: tests/test_model.py checks ppf against it
     def cdf(self, t: np.ndarray) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         return t * (1.0 + 0.5 * self.slope * (t - 1.0))

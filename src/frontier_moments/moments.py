@@ -49,14 +49,6 @@ _REACH = 1.0 + 2.0**-40
 class InsufficientLocalDataError(RuntimeError):
     """The kernel window around the query point is empty."""
 
-    def __init__(self, count: int, message: str | None = None):
-        self.count = count
-        super().__init__(message or f"kernel window holds {count} points")
-
-    def __reduce__(self):
-        # rebuild from both fields: the default passes only the message, as count
-        return type(self), (self.count, str(self))
-
 
 @dataclass(frozen=True)
 class ScaledMoment:
@@ -65,10 +57,6 @@ class ScaledMoment:
     log_scale: float
     mantissa: float
     count: int
-
-    @property
-    def is_empty(self) -> bool:
-        return self.count == 0
 
     @property
     def log_value(self) -> float:
@@ -169,6 +157,11 @@ def grid_windows(sample: Sample, grid, h: float, kernel: KernelSpec):
     if not math.isfinite(h):
         raise ValueError(f"bandwidth h must be finite, got {h!r}")
     _positive(h=h)
+    # a window sum adds at most n weights of at most c / h^d: past the float maximum its ratios are NaN
+    with np.errstate(over="ignore"):
+        scale = h**sample.dimension
+        if not (scale > 0.0 and math.isfinite(sample.n * kernel.normalization / scale)):
+            raise ValueError(f"bandwidth h = {h!r} is too small: the kernel weights c / h^d overflow")
     for chunk, rows, seg in window_rows(sample, grid, h):
         points = grid[chunk]
         yield points, _scan(sample, points, h, kernel, rows, seg)
@@ -311,7 +304,7 @@ def _gather(order, starts, lengths, per_point):
 def _one(windows: Windows, values) -> float:
     """The value of a one-point window, or InsufficientLocalDataError when it is empty."""
     if windows.count[0] == 0:
-        raise InsufficientLocalDataError(0)
+        raise InsufficientLocalDataError("kernel window holds 0 points")
     return float(values[0])
 
 

@@ -324,7 +324,7 @@ def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
         smpl = sample(model, n, seed)
         worst = 0.0
         for i, moment in enumerate(scaled_moments(smpl, grid, p, h, kernel)):
-            if moment.mantissa <= 0.0:
+            if not moment.count:
                 deviation = 1.0  # an empty window estimates the moment as zero
             else:
                 log_ratio = moment.log_value - p * log_g[i] - log_truth[n][i]

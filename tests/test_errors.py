@@ -5,6 +5,7 @@ import inspect
 import pickle
 import pkgutil
 
+import numpy as np
 import pytest
 
 import frontier_moments
@@ -12,17 +13,30 @@ from frontier_moments import (
     DatasetFormatError,
     DegenerateGridError,
     InsufficientLocalDataError,
+    KernelSpec,
     ModelError,
+    Sample,
     ScheduleError,
+    moment_ratio,
 )
+
+
+def empty_window_error():
+    """The error as ``moment_ratio`` raises it on an empty window, traceback attached."""
+    try:
+        moment_ratio(Sample(xs=np.zeros((1, 1)), ys=np.ones(1)), [10.0], 1.0, 0.1, KernelSpec())
+    except InsufficientLocalDataError as err:
+        return err
+    raise AssertionError("the window around 10.0 is not empty")
+
 
 # every exception the package defines, with constructor arguments that set each of its fields
 EXAMPLES = [
     ModelError("field 'g': amplitude too large"),
     ScheduleError("bandwidth 1.5 falls outside (0, 1) at n=4"),
     DegenerateGridError("all 21 grid points failed"),
-    InsufficientLocalDataError(0),
-    InsufficientLocalDataError(7, "window of 7 points carries no usable moment mass"),
+    InsufficientLocalDataError("kernel window holds 0 points"),
+    empty_window_error(),
     DatasetFormatError("line 3: non-numeric value in ['a', '1']", line=3),
     DatasetFormatError("dataset file is empty"),
 ]
@@ -51,6 +65,5 @@ def test_round_trip_keeps_type_message_and_fields(err):
 
 
 def test_empty_window_message_is_not_nested():
-    back = pickle.loads(pickle.dumps(InsufficientLocalDataError(0)))
+    back = pickle.loads(pickle.dumps(empty_window_error()))
     assert str(back) == "kernel window holds 0 points"
-    assert back.count == 0

@@ -79,11 +79,21 @@ def test_scaled_density_rejects_bad_bandwidth():
         k.scaled_density(np.array([0.0]), np.array([0.0]), -0.2)
 
 
+def lipschitz_bound(kernel):
+    """sup |grad K| for the profile c (1 - r^2)^s with s >= 1."""
+    s, c = kernel.degree, kernel.normalization
+    if s == 1:
+        return 2.0 * c
+    # |d/dr (1 - r^2)^s| = 2 s c r (1 - r^2)^(s-1), maximal at r = 1/sqrt(2s - 1)
+    r = 1.0 / math.sqrt(2 * s - 1)
+    return 2.0 * s * c * r * (1.0 - r * r) ** (s - 1)
+
+
 @pytest.mark.parametrize("profile", ["epanechnikov_ball", "biweight_ball"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_lipschitz_bound_on_random_pairs(profile, d):
     k = KernelSpec(profile=profile, dimension=d)
-    c = k.lipschitz_constant
+    c = lipschitz_bound(k)
     rng = np.random.default_rng(7)
     u = rng.uniform(-1.2, 1.2, size=(500, d))
     v = rng.uniform(-1.2, 1.2, size=(500, d))
@@ -93,10 +103,14 @@ def test_lipschitz_bound_on_random_pairs(profile, d):
 
 
 def test_uniform_profile_flagged_as_nonsmooth():
-    k = KernelSpec(profile="uniform_ball", dimension=1)
-    assert not k.is_smooth
-    assert math.isinf(k.lipschitz_constant)
-    assert KernelSpec(dimension=1).is_smooth
+    # the flat profile jumps by its full height across the boundary, so no Lipschitz bound holds
+    inside, outside = np.array([[1.0 - 1e-9]]), np.array([[1.0 + 1e-9]])
+    flat = KernelSpec(profile="uniform_ball", dimension=1)
+    assert flat.density(inside)[0] - flat.density(outside)[0] == flat.normalization
+    # a smooth profile vanishes there and keeps its bound across the same gap
+    smooth = KernelSpec(dimension=1)
+    gap = smooth.density(inside)[0] - smooth.density(outside)[0]
+    assert 0.0 < gap <= lipschitz_bound(smooth) * 2e-9 * (1 + 1e-6)
 
 
 def test_kernel_from_name_aliases():

@@ -144,6 +144,17 @@ def test_nonpositive_bandwidth_raises(d, h):
         effective_count(SAMPLES[d], np.full(d, 0.5), h)
 
 
+@pytest.mark.parametrize("d, refused, kept", [(1, 1e-310, 1e-300), (2, 1e-155, 1e-150)])
+def test_bandwidth_whose_weights_overflow_is_refused(d, refused, kept):
+    # at `refused` the weight c / h^d of the one point at a sample row overflowed, and the point failed
+    row, y = SAMPLES[d].xs[0], SAMPLES[d].ys[0]
+    with pytest.raises(ValueError, match="too small: the kernel weights c / h\\^d overflow"):
+        estimate_at(SAMPLES[d], row, EstimatorConfig(p=5.0, h=refused, kernel=KERNELS[d]))
+    record = estimate_at(SAMPLES[d], row, EstimatorConfig(p=5.0, h=kept, kernel=KERNELS[d]))
+    assert record.ok and record.effective_count == 1
+    assert record.g_hat == pytest.approx(y, rel=1e-14)
+
+
 def test_flat_grid_in_one_dimension_is_one_point_per_entry():
     flat = np.linspace(0.1, 0.9, 9)
     records = estimate_grid(SAMPLES[1], flat, CONFIGS[1])

@@ -427,7 +427,7 @@ MODEL_FILES = {
 
 CELL_ERRORS = [
     ModelError("non-monotone survival in a cell"),
-    InsufficientLocalDataError(3, "window of 3 points carries no usable moment mass"),
+    InsufficientLocalDataError("kernel window holds 0 points"),
     DatasetFormatError("line 9: expected 2 columns, found 3", line=9),
 ]
 
@@ -686,6 +686,17 @@ class TestEstimateCommand:
         data = tmp_path / "data.csv"
         write_dataset(Sample(xs=rng.random((50, 1)), ys=np.ones(50)), data)
         assert main(["estimate", str(data), "--p", "20", "--h", "0", "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("d, h", [(1, "1e-310"), (2, "1e-170")])
+    def test_bandwidth_whose_weights_overflow_exits_2(self, tmp_path, capsys, d, h):
+        # at d = 2, h^2 is 0.0 and the kernel divided by it; at d = 1, c / h overflowed
+        rng = np.random.default_rng(0)
+        data = tmp_path / "data.csv"
+        write_dataset(Sample(xs=rng.random((50, d)), ys=np.ones(50)), data)
+        out = tmp_path / "o.csv"
+        assert main(["estimate", str(data), "--p", "10", "--h", h, "--grid", "5", "--out", str(out)]) == 2
+        assert f"bandwidth h = {float(h)!r} is too small" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag, named", [("--p", "moment power p"), ("--a", "order multiplier a")])
     def test_infinite_power_or_order_exits_2(self, tmp_path, capsys, flag, named):
