@@ -40,14 +40,11 @@ class EstimatorConfig:
     a: float = 1.0
 
     def __post_init__(self) -> None:
-        _positive(a=self.a)
         if not self.p >= 1:
             raise ValueError("moment power p must be at least 1")
         if not 0.0 < self.h < 1.0:
             raise ValueError("bandwidth h must lie in (0, 1)")
-        for name, value in (("moment power p", self.p), ("order multiplier a", self.a)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        _positive(p=self.p, a=self.a)
 
 
 @dataclass(frozen=True)
@@ -148,8 +145,9 @@ def rate_exponents(d: int, eta_g: float, alpha_bar: float) -> tuple[float, float
     """
     if d < 1 or not eta_g > 0 or not alpha_bar > 0:
         raise ValueError("dimension, smoothness and tail exponents must be positive")
-    if not math.isfinite(alpha_bar):
-        raise ValueError(f"tail exponent bound alpha_bar must be finite, got {alpha_bar!r}")
+    for name, value in (("smoothness exponent eta_g", eta_g), ("tail exponent bound alpha_bar", alpha_bar)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     denom = d + alpha_bar * eta_g
     return eta_g / denom, 1.0 / denom
 

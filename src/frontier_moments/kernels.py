@@ -43,7 +43,8 @@ class KernelSpec:
     profile ``_profile`` gives: ``density`` and ``scaled_density`` on
     given offsets, and ``window_weights``, the moment scan's one entry, on
     (query point, sample row) pairs, column by column, keeping only the
-    pairs inside the ball.
+    pairs inside the ball.  Every weight is scaled by the h^d that
+    ``weight_scale`` gives, which is the one place a bandwidth is checked.
     """
 
     profile: str = "epanechnikov_ball"
@@ -83,10 +84,24 @@ class KernelSpec:
     # kept with no caller in src/: benchmarks/tracing.py wraps it, and the tests check window_weights against it
     def scaled_density(self, x, xs, h: float):
         """Rescaled kernel h^(-d) K((x - xs) / h) with bandwidth h > 0."""
-        _positive(h=h)
+        scale = self.weight_scale(h, 1)
         x = np.asarray(x, dtype=float)
         xs = np.asarray(xs, dtype=float)
-        return self.density((x - xs) / h) / h**self.dimension
+        return self.density((x - xs) / h) / scale
+
+    def weight_scale(self, h: float, n: int) -> float:
+        """h^d, once h passes ``_positive`` and neither h^d nor a sum of n weights c / h^d overflows, nor h^d is 0."""
+        _positive(h=h)
+        h = float(h)  # an np.float64's power warns and gives inf where a float's raises
+        try:
+            scale = h**self.dimension
+        except OverflowError:
+            scale = math.inf
+        if scale == math.inf:
+            raise ValueError(f"bandwidth h = {h!r} is too large: h^d overflows")
+        if not (scale > 0.0 and math.isfinite(n * self.normalization / scale)):
+            raise ValueError(f"bandwidth h = {h!r} is too small: the kernel weights c / h^d overflow")
+        return scale
 
     def window_weights(self, points, counts, xs, rows, h: float):
         """(inside, weights): the candidate pairs in the open radius-h ball, and their ``scaled_density``.
@@ -98,7 +113,7 @@ class KernelSpec:
         pairs whose weight is positive, or is None when all are; every
         weight has the bits ``scaled_density`` gives the pair.
         """
-        _positive(h=h)
+        scale = self.weight_scale(h, xs.shape[0])
 
         def offsets():
             for k in range(self.dimension):
@@ -109,7 +124,6 @@ class KernelSpec:
 
         r2 = _squared_radius(offsets())
         inside = r2 < 1.0
-        scale = h**self.dimension
         if inside.all():
             inside, weights = None, self._profile(r2) / scale
         else:

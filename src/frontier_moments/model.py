@@ -84,13 +84,16 @@ def _blocks(n: int):
 
 
 def _positive(p: float = 1.0, h: float = 1.0, a: float = 1.0) -> None:
-    """ValueError unless p, h and a are > 0 (NaN is not); an argument left out passes."""
+    """ValueError unless p, h and a are > 0 (NaN is not) and finite; an argument left out passes."""
     if not p > 0:
         raise ValueError("moment power p must be positive")
     if not h > 0:
         raise ValueError("bandwidth h must be positive")
     if not a > 0:
         raise ValueError("order multiplier a must be positive")
+    for name, value in (("moment power p", p), ("bandwidth h", h), ("order multiplier a", a)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {float(value)!r}")
 
 
 # ---------------------------------------------------------------------------

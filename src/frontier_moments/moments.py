@@ -154,14 +154,10 @@ def grid_windows(sample: Sample, grid, h: float, kernel: KernelSpec):
     grid = _points(grid, sample.dimension)
     if not np.isfinite(grid).all():
         raise ValueError("query points must be finite")
-    if not math.isfinite(h):
-        raise ValueError(f"bandwidth h must be finite, got {h!r}")
-    _positive(h=h)
+    if kernel.dimension != sample.dimension:
+        raise ValueError(f"kernel has dimension {kernel.dimension}, but the sample has dimension {sample.dimension}")
     # a window sum adds at most n weights of at most c / h^d: past the float maximum its ratios are NaN
-    with np.errstate(over="ignore"):
-        scale = h**sample.dimension
-        if not (scale > 0.0 and math.isfinite(sample.n * kernel.normalization / scale)):
-            raise ValueError(f"bandwidth h = {h!r} is too small: the kernel weights c / h^d overflow")
+    kernel.weight_scale(h, sample.n)
     for chunk, rows, seg in window_rows(sample, grid, h):
         points = grid[chunk]
         yield points, _scan(sample, points, h, kernel, rows, seg)
@@ -313,13 +309,8 @@ def scaled_moment(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> 
 
     An empty window is a value, not an error: count 0, mantissa 0.
     """
-    return scaled_moments(sample, _points(x, sample.dimension, one=True), p, h, kernel)[0]
-
-
-def scaled_moments(sample: Sample, grid, p: float, h: float, kernel: KernelSpec) -> list[ScaledMoment]:
-    """``scaled_moment`` at every row of ``grid``, from the batched scan."""
     _positive(p=p, h=h)
-    return [m for _, windows in grid_windows(sample, grid, h, kernel) for m in windows.moments(p, sample.n)]
+    return point_window(sample, x, h, kernel).moments(p, sample.n)[0]
 
 
 def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> float:

@@ -45,7 +45,7 @@ from .model import (
     model_to_dict,
     sample,
 )
-from .moments import scaled_moments
+from .moments import grid_windows
 from .oracle import smoothed_moment
 
 REPORT_SCHEMA = "frontier-moments/mc-study/1"
@@ -260,12 +260,8 @@ def run_study(model: FrontierModel, config: StudyConfig, workers: int = 1) -> tu
 
 def _aggregate(model, config, scheduled, w_by_size, results) -> dict:
     beta_min = field_range(model.beta)[0]
-    medians: list[float | None] = []
-    degenerate = 0
-    for n in config.sizes:
-        sups = [r["sup_error"] for r in results if r["n"] == n and r["sup_error"] is not None]
-        degenerate += sum(1 for r in results if r["n"] == n and r["sup_error"] is None)
-        medians.append(float(np.median(sups)) if sups else None)
+    medians = _medians(config.sizes, results, "sup_error")
+    degenerate = sum(r["sup_error"] is None for r in results)
     ws = [w_by_size[n] for n in config.sizes]
 
     slope = None
@@ -304,13 +300,24 @@ def _aggregate(model, config, scheduled, w_by_size, results) -> dict:
     }
 
 
+def _medians(sizes, results, key: str) -> list[float | None]:
+    """Per size, the median of the cells' ``key`` values that are not None; None where every one is."""
+    medians = []
+    for n in sizes:
+        values = [r[key] for r in results if r["n"] == n and r[key] is not None]
+        medians.append(float(np.median(values)) if values else None)
+    return medians
+
+
 def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
     """Worst relative deviation of the empirical kernel moment from its
     smoothed ground truth, per cell, with per-size medians, on a
     50-point-per-axis grid.
 
     Reuses the same per-cell seeds as ``run_study`` under the same config,
-    so the underlying samples are shared between the two studies.
+    so the underlying samples are shared between the two studies, and maps
+    its cells through the same dispatcher, ``_map_cells``, in one process.
+    An empty window counts as deviation 1.0.
     """
     scheduled, cells, grid, kernel = _study_setup(model, config, _CONCENTRATION_GRID)
     log_g = np.log(model.g.values(grid))
@@ -318,12 +325,12 @@ def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
         n: np.array([math.log(smoothed_moment(model, x, *scheduled[n], kernel)) for x in grid]) for n in config.sizes
     }
 
-    def concentration_cell(cell):
-        n, rep, seed = cell
+    def concentration_cell(n, rep, seed):
         p, h = scheduled[n]
         smpl = sample(model, n, seed)
         worst = 0.0
-        for i, moment in enumerate(scaled_moments(smpl, grid, p, h, kernel)):
+        moments = (m for _, windows in grid_windows(smpl, grid, h, kernel) for m in windows.moments(p, n))
+        for i, moment in enumerate(moments):
             if not moment.count:
                 deviation = 1.0  # an empty window estimates the moment as zero
             else:
@@ -332,17 +339,12 @@ def moment_concentration(model: FrontierModel, config: StudyConfig) -> dict:
             worst = max(worst, deviation)
         return {"n": n, "replication": rep, "seed": seed, "p": p, "h": h, "max_deviation": worst}
 
-    results = [concentration_cell(c) for c in cells]
-
-    medians = []
-    for n in config.sizes:
-        vals = [r["max_deviation"] for r in results if r["n"] == n]
-        medians.append(float(np.median(vals)))
+    results = _map_cells(concentration_cell, cells, 1)
     return {
         "sizes": list(config.sizes),
         "grid_points_per_axis": _CONCENTRATION_GRID,
         "cells": results,
-        "median_max_deviation": medians,
+        "median_max_deviation": _medians(config.sizes, results, "max_deviation"),
     }
 
 

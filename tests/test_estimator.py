@@ -220,6 +220,12 @@ class TestRates:
         with pytest.raises(ValueError):
             rate_exponents(1, -1.0, 1.0)
 
+    @pytest.mark.parametrize("eta_g, alpha_bar, named", [(math.inf, 1.0, "smoothness exponent eta_g"), (1.0, math.inf, "tail exponent bound alpha_bar")])
+    def test_rate_exponents_refuse_an_infinite_exponent(self, eta_g, alpha_bar, named):
+        # eta_g = inf gave (nan, 0.0)
+        with pytest.raises(ValueError, match=f"^{named} must be finite, got inf$"):
+            rate_exponents(1, eta_g, alpha_bar)
+
     def test_w_rate_values(self):
         assert_allclose(w_rate(math.e**2, 1.0, 1.0, 2.0, 1), math.sqrt(math.e**2 / 2.0), rtol=1e-12)
         # exponent 2 - alpha_bar vanishes at alpha_bar = 2, so p drops out

@@ -1,7 +1,10 @@
 """Argument rules and the moment scan have one writer each.
 
 Each positivity message is written once in ``src/``, and query points are
-coerced only by ``model._points``.  ``KernelSpec.density`` keeps its own
+coerced only by ``model._points``.  Whether p, h and a are finite is
+checked only by ``model._positive``, and the kernel weights' scale h^d is
+formed only by ``KernelSpec.weight_scale``; the h powers of the rate
+formulas (``w_rate``, the study's bias terms) are not weight scales.  ``KernelSpec.density`` keeps its own
 ``np.atleast_2d``: its argument is a kernel-space offset ``u``, not a query
 point.  The sample meets the kernel in one place, ``moments._scan``, which
 only ``moments.grid_windows`` calls, so every candidate list comes from the
@@ -24,7 +27,7 @@ path checks the file's format only and leaves the value rules to
 Every tensor product comes from ``model._tensor``: no ``np.meshgrid``,
 ``np.outer`` or ``itertools`` beside it.  Processes are forked only by
 ``study._map_cells``, with no ``multiprocessing`` or ``concurrent`` pool
-beside it.
+beside it, and both studies map their cells through it.
 """
 
 import ast
@@ -39,6 +42,7 @@ MESSAGES = (
     "bandwidth h must be positive",
     "order multiplier a must be positive",
 )
+ARGUMENTS = ("moment power p", "bandwidth h", "order multiplier a")
 COERCIONS = {"atleast_1d", "atleast_2d"}
 ALLOWED = {"model._points", "kernels.KernelSpec.density"}
 WRITE_MODE = set("wax+")
@@ -83,6 +87,30 @@ def attribute_sites(module: str, source: str, attrs, owner: str | None = None) -
 def call_sites(module: str, source: str, name: str) -> list[str]:
     """Qualified name of the function around each call of the plain name ``name``, such as ``_scan(...)``."""
     return sites(module, source, lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name)
+
+
+def finiteness_sites(module: str, source: str, names) -> list[str]:
+    """Qualified name of the function around each string constant that is one of ``names`` or says it must be finite.
+
+    ``"bandwidth h must be finite, got "``, an f-string's literal part, is
+    a hit, and so is the bare ``"moment power p"`` a finiteness loop names.
+    """
+    return sites(
+        module,
+        source,
+        lambda n: isinstance(n, ast.Constant)
+        and isinstance(n.value, str)
+        and any(n.value == name or n.value.startswith(f"{name} must be finite") for name in names),
+    )
+
+
+def power_sites(module: str, source: str, base: str) -> list[str]:
+    """Qualified name of the function around each power of the plain name ``base``, such as ``h**d``."""
+    return sites(
+        module,
+        source,
+        lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and isinstance(n.left, ast.Name) and n.left.id == base,
+    )
 
 
 def arange_over_n_sites(module: str, source: str) -> list[str]:
@@ -172,6 +200,16 @@ def test_positivity_message_written_once(message):
     assert count == 1
 
 
+def test_finiteness_of_p_h_and_a_checked_only_by_the_argument_rule():
+    sites = [s for module, src in SOURCES.items() for s in finiteness_sites(module, src, ARGUMENTS)]
+    assert sites == ["model._positive"] * len(ARGUMENTS)
+
+
+def test_weight_scale_formed_only_by_the_kernel():
+    assert power_sites("moments", SOURCES["moments"], "h") == []
+    assert power_sites("kernels", SOURCES["kernels"], "h") == ["kernels.KernelSpec.weight_scale"]
+
+
 def test_query_points_coerced_only_by_the_point_rule():
     sites = [s for module, src in SOURCES.items() for s in coercion_sites(module, src)]
     assert set(sites) <= ALLOWED, sites
@@ -239,6 +277,11 @@ def test_processes_forked_only_by_the_cell_dispatcher():
         assert not {"multiprocessing", "concurrent"} & set(imported_modules(src)), module
 
 
+def test_both_studies_map_their_cells_through_the_dispatcher():
+    sites = [s for module, src in SOURCES.items() for s in call_sites(module, src, "_map_cells")]
+    assert sorted(sites) == ["study.moment_concentration", "study.run_study"]
+
+
 def test_guard_sees_copies():
     copy = 'def f(x):\n    if not x > 0:\n        raise ValueError("bandwidth h must be positive")\n'
     assert string_constants(copy).count("bandwidth h must be positive") == 1
@@ -268,3 +311,11 @@ def test_guard_sees_copies():
     src = "import numpy as np\ndef f(t, d):\n    return (t[:, d] > 0.0).all() and t.shape[1] == d and np.isfinite(t).all()\n"
     assert column_compare_sites("m", src) == ["m.f"]
     assert attribute_sites("m", src, {"isfinite"}) == ["m.f"]
+    src = (
+        'def f(h):\n    raise ValueError(f"bandwidth h must be finite, got {h!r}")\nclass K:\n    def g(self, p, a, d):\n'
+        '        for name, v in (("moment power p", p), ("order multiplier a", a)):\n            pass\n'
+        '        return "bandwidth h = 1", h**d, p**d, (1 - h) ** d, 2**h, _map_cells(f, [], 1), m._map_cells()\n'
+    )
+    assert finiteness_sites("m", src, ARGUMENTS) == ["m.f", "m.K.g", "m.K.g"]
+    assert power_sites("m", src, "h") == ["m.K.g"]
+    assert call_sites("m", src, "_map_cells") == ["m.K.g"]

@@ -9,6 +9,7 @@ every grid over the whole support takes its size from one rule.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from frontier_moments import (
     survival,
     survival_values,
     validate,
+    w_rate,
 )
 from frontier_moments import model as model_module
 from frontier_moments import oracle as oracle_module
@@ -123,16 +125,78 @@ def test_non_finite_query_point_raises(name, d, bad):
             call(d, x) if call else GRID[name](d, [[0.5] * d, x])
 
 
-@pytest.mark.parametrize("name", ["scaled_moment", "moment_ratio", "moment_ratio_pair", "effective_count"])
+def window_weights(d, h):
+    """``KernelSpec.window_weights`` called directly: the point 0.5 in d dimensions against every sample row."""
+    smpl = SAMPLES[d]
+    return KERNELS[d].window_weights(np.full((1, d), 0.5), np.array([smpl.n]), smpl.xs, np.arange(smpl.n), h)
+
+
+@pytest.mark.parametrize(
+    "name", ["scaled_moment", "moment_ratio", "moment_ratio_pair", "effective_count", "scaled_density", "window_weights", "w_rate"]
+)
 def test_infinite_bandwidth_raises(name):
     # every window would hold the whole sample, but h^d is infinite and every kernel weight 0
     calls = {
+        "scaled_density": lambda: KERNELS[2].scaled_density([0.5, 0.5], SAMPLES[2].xs, np.inf),
+        "window_weights": lambda: window_weights(2, np.inf),
+        "w_rate": lambda: w_rate(1000, 5.0, np.inf, 1.0, 1),
         "scaled_moment": lambda: scaled_moment(SAMPLES[2], [0.5, 0.5], 5.0, np.inf, KERNELS[2]),
         "moment_ratio": lambda: moment_ratio(SAMPLES[2], [0.5, 0.5], 5.0, np.inf, KERNELS[2]),
         "moment_ratio_pair": lambda: moment_ratio_pair(SAMPLES[2], [0.5, 0.5], 5.0, 1.0, np.inf, KERNELS[2]),
         "effective_count": lambda: effective_count(SAMPLES[2], [0.5, 0.5], np.inf),
     }
     with pytest.raises(ValueError, match="bandwidth h must be finite"):
+        calls[name]()
+
+
+# (argument, name) -> call(value): the public functions that take p or a, with that argument set to value
+INFINITE = {
+    ("p", "moment_ratio"): lambda v: moment_ratio(SAMPLES[1], 0.5, v, 0.2, KERNELS[1]),
+    ("p", "scaled_moment"): lambda v: scaled_moment(SAMPLES[1], 0.5, v, 0.2, KERNELS[1]),
+    ("p", "moment_ratio_pair"): lambda v: moment_ratio_pair(SAMPLES[1], 0.5, v, 1.0, 0.2, KERNELS[1]),
+    ("p", "w_rate"): lambda v: w_rate(1000, v, 0.2, 1.0, 1),
+    ("p", "moment_decomposition"): lambda v: moment_decomposition(MODELS[1], 0.5, v),
+    ("p", "moment_brute"): lambda v: moment_brute(MODELS[1], 0.5, v),
+    ("p", "smoothed_moment"): lambda v: smoothed_moment(MODELS[1], 0.5, v, 0.1, KERNELS[1]),
+    ("p", "moment_equivalent"): lambda v: moment_equivalent(MODELS[1], 0.5, v),
+    ("p", "ratio_expansion"): lambda v: ratio_expansion(MODELS[1], 0.5, v),
+    ("a", "moment_ratio_pair"): lambda v: moment_ratio_pair(SAMPLES[1], 0.5, 5.0, v, 0.2, KERNELS[1]),
+}
+NAMED = {"p": "moment power p", "a": "order multiplier a"}
+
+
+@pytest.mark.parametrize("arg, name", sorted(INFINITE), ids=[f"{a}-{n}" for a, n in sorted(INFINITE)])
+def test_infinite_power_or_order_raises(arg, name):
+    # p = inf gave 0.82 (moment_ratio), a log_scale of inf (scaled_moment), NaN or 0.0 (the oracle)
+    for value in (np.inf, np.float64(np.inf)):
+        with pytest.raises(ValueError, match=f"^{NAMED[arg]} must be finite, got inf$"):
+            INFINITE[arg, name](value)
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize(
+    "h, refused", [(1e-170, "too small: the kernel weights c / h^d overflow"), (1e160, "too large: h^d overflows")], ids=["1e-170", "1e160"]
+)
+def test_kernel_refuses_a_bandwidth_whose_scale_overflows(h, refused, kind):
+    # in d = 2, h^2 is 0.0 at 1e-170 (window_weights divided by it, scaled_density gave inf) and overflows at 1e160
+    # (an OverflowError for a float, inf and a warning for an np.float64)
+    with pytest.raises(ValueError, match=re.escape(f"bandwidth h = {h!r} is {refused}")):
+        window_weights(2, kind(h))
+    with pytest.raises(ValueError, match=re.escape(f"bandwidth h = {h!r} is {refused}")):
+        KERNELS[2].scaled_density([0.5, 0.5], SAMPLES[2].xs, kind(h))
+
+
+@pytest.mark.parametrize("name", ["estimate_at", "estimate_grid", "moment_ratio"])
+@pytest.mark.parametrize("d, kernel_d", [(2, 1), (1, 2)])
+def test_kernel_of_another_dimension_raises(name, d, kernel_d):
+    # a 1-D kernel on a 2-D sample gave an estimate from a wrong window; a 2-D kernel on a 1-D sample an IndexError
+    kernel = KernelSpec(dimension=kernel_d)
+    calls = {
+        "estimate_at": lambda: estimate_at(SAMPLES[d], np.full(d, 0.5), EstimatorConfig(p=5.0, h=0.2, kernel=kernel)),
+        "estimate_grid": lambda: estimate_grid(SAMPLES[d], np.full((3, d), 0.5), EstimatorConfig(p=5.0, h=0.2, kernel=kernel)),
+        "moment_ratio": lambda: moment_ratio(SAMPLES[d], np.full(d, 0.5), 5.0, 0.2, kernel),
+    }
+    with pytest.raises(ValueError, match=f"kernel has dimension {kernel_d}, but the sample has dimension {d}"):
         calls[name]()
 
 

@@ -419,6 +419,13 @@ class TestRunStudy:
             assert text in str(err.value)
 
 
+    def test_concentration_counts_an_empty_window_as_deviation_one(self):
+        # at k2 = 1e-9 each window is narrower than 1e-10, and every one on the 50-point grid is empty
+        sched = RateSchedule(c1=0.5, c2=0.5, d=1, eta_g=1.0, alpha_bar=1.0, k2=1e-9)
+        out = moment_concentration(canonical_model(), small_study_config(sizes=(1000, 2000), replications=2, schedule=sched))
+        assert [cell["max_deviation"] for cell in out["cells"]] == [1.0] * 4
+        assert out["median_max_deviation"] == [1.0, 1.0]
+
 MODEL_FILES = {
     "canonical": ROOT / "models" / "canonical.json",
     "two_term_tail": ROOT / "models" / "two_term_tail.json",
