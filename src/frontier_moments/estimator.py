@@ -157,7 +157,13 @@ def w_rate(n: float, p: float, h: float, alpha_bar: float, d: int) -> float:
     if n < 2:
         raise ValueError("rate is defined for n >= 2")
     _positive(p=p, h=h)
-    return math.sqrt(n * p ** (2.0 - alpha_bar) * h**d / math.log(n))
+    try:
+        rate = math.sqrt(n * p ** (2.0 - alpha_bar) * h**d / math.log(n))
+    except OverflowError:
+        rate = math.inf
+    if rate == math.inf:
+        raise ValueError(f"rate overflows at n = {n}, p = {p!r}, h = {h!r}, alpha_bar = {alpha_bar!r}, d = {d}")
+    return rate
 
 
 @dataclass(frozen=True)
@@ -212,8 +218,11 @@ def schedule(n: int, sched: RateSchedule) -> tuple[float, float]:
     """(p_n, h_n) at sample size n, checked to be usable: p_n >= 1 and 0 < h_n < 1."""
     if n < 2:
         raise ValueError("schedules are defined for n >= 2")
-    p = sched.k1 * n**sched.c1
-    h = sched.k2 * n ** (-sched.c2)
+    try:
+        p = sched.k1 * n**sched.c1
+        h = sched.k2 * n ** (-sched.c2)
+    except OverflowError:
+        raise ScheduleError(f"powers of the sample size overflow at n={n}") from None
     if not 0.0 < h < 1.0:
         raise ScheduleError(f"bandwidth {h:.6g} falls outside (0, 1) at n={n}")
     if p < 1.0:

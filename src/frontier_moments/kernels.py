@@ -90,7 +90,7 @@ class KernelSpec:
         return self.density((x - xs) / h) / scale
 
     def weight_scale(self, h: float, n: int) -> float:
-        """h^d, once h passes ``_positive`` and neither h^d nor a sum of n weights c / h^d overflows, nor h^d is 0."""
+        """h^d, once h passes ``_positive``, neither h^d nor a sum of n weights c / h^d overflows, and no weight underflows."""
         _positive(h=h)
         h = float(h)  # an np.float64's power warns and gives inf where a float's raises
         try:
@@ -101,6 +101,9 @@ class KernelSpec:
             raise ValueError(f"bandwidth h = {h!r} is too large: h^d overflows")
         if not (scale > 0.0 and math.isfinite(n * self.normalization / scale)):
             raise ValueError(f"bandwidth h = {h!r} is too small: the kernel weights c / h^d overflow")
+        # 1 - r^2 >= 2^-53 where r^2 < 1: the smallest weight in the ball (the biweight's underflows from about h^d = 2^969)
+        if not self._profile(1.0 - 2.0**-53) / scale > 0.0:
+            raise ValueError(f"bandwidth h = {h!r} is too large: the kernel weights inside the ball underflow")
         return scale
 
     def window_weights(self, points, counts, xs, rows, h: float):
@@ -109,9 +112,9 @@ class KernelSpec:
         Candidate k pairs point j, the j-th of ``points`` (shape (G, d))
         repeated counts[j] times in turn, with sample row rows[k] of ``xs``.
         The radius is formed column by column from those pairs, and the
-        profile is evaluated only where r^2 < 1.  ``inside`` indexes the
-        pairs whose weight is positive, or is None when all are; every
-        weight has the bits ``scaled_density`` gives the pair.
+        profile is evaluated only where r^2 < 1.  ``inside`` indexes those
+        pairs, or is None when all are; every weight is positive, with the
+        bits ``scaled_density`` gives the pair.
         """
         scale = self.weight_scale(h, xs.shape[0])
 
@@ -129,11 +132,6 @@ class KernelSpec:
         else:
             inside = np.flatnonzero(inside)
             weights = self._profile(np.take(r2, inside)) / scale
-        # 1 - r^2 >= 2^-53 where r^2 < 1: no weight is 0 unless this smallest one underflows (h^d past about 2^900)
-        if not self._profile(1.0 - 2.0**-53) / scale > 0.0:
-            positive = np.flatnonzero(weights > 0.0)
-            inside = positive if inside is None else np.take(inside, positive)
-            weights = np.take(weights, positive)
         return inside, weights
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import stat
 from contextlib import contextmanager, suppress
@@ -57,6 +58,17 @@ def _floats(value, what: str) -> tuple[float, ...]:
     """A number or a list of numbers as a tuple of floats."""
     items = value if isinstance(value, (list, tuple, np.ndarray)) else (value,)
     return tuple(_float(v, what) for v in items)
+
+
+def _dimension(value) -> int:
+    """A model's dimension: a whole number from 1 to 16, or a ModelError."""
+    dimension = _float(value, "field 'dimension'")
+    if not dimension.is_integer():
+        raise ModelError(f"field 'dimension' must be a whole number, got {dimension!r}")
+    d = int(dimension)
+    if not 1 <= d <= 16:  # from 17 axes on, even 2 points per axis make a support grid of over 65536 points
+        raise ModelError(f"field 'dimension' must be between 1 and 16, got {d}")
+    return d
 
 
 def _points(x, d: int, *, one: bool = False) -> np.ndarray:
@@ -278,10 +290,11 @@ class FrontierModel:
     ``C + D0`` must equal 1 so the survival of the normalised response
     starts at 1; ``validate`` checks that and the positivity of the fields
     on a grid, and at each grid point the exact condition for the survival
-    to be nonincreasing.  ``omega`` is the compact evaluation window, kept
-    away from the support boundary so kernel balls of the bandwidths in use
-    stay inside [0, 1]^d.  The Holder exponents ``eta_g`` and ``eta_alpha``
-    must be finite and positive.
+    to be nonincreasing.  ``dimension`` is a whole number from 1 to 16.
+    ``omega``, two numbers, is the compact evaluation window, kept away from
+    the support boundary so kernel balls of the bandwidths in use stay
+    inside [0, 1]^d.  The Holder exponents ``eta_g`` and ``eta_alpha`` must
+    be finite and positive.
     """
 
     g: ScalarField
@@ -296,12 +309,16 @@ class FrontierModel:
     omega: tuple[float, float] = DEFAULT_OMEGA
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "dimension", _dimension(self.dimension))
         for name in ("g", "alpha", "beta", "C", "D0"):
             fld = getattr(self, name)
             if fld.dimension != self.dimension:
                 raise ModelError(f"field {name} has dimension {fld.dimension}, model has {self.dimension}")
         if self.f.dimension != self.dimension:
             raise ModelError("covariate density dimension does not match the model")
+        omega = self.omega
+        if not isinstance(omega, (list, tuple)) or len(omega) != 2 or not all(isinstance(v, numbers.Real) for v in omega):
+            raise ModelError(f"field 'omega' must be two numbers, got {omega!r}")
         for name in ("eta_g", "eta_alpha"):
             value = _float(getattr(self, name), f"field {name!r}")
             if not (math.isfinite(value) and value > 0.0):
@@ -452,42 +469,24 @@ def _newton(al, be, cc, dd, log_u, z) -> None:
     F(z) = log S(e^z) - log u = alpha z + log(C + D0 e^(beta z)) - log u
     increases in z, with F(lo) <= 0 <= F(0) for lo the leading-term root
     under the larger of C and C + D0.  A step that leaves the bracket is
-    replaced by its midpoint.  The loop works in place and copies no row.
+    replaced by its midpoint.
     """
-    lo = np.maximum(dd, 0.0)
-    lo += cc
-    np.log(lo, out=lo)
-    np.subtract(log_u, lo, out=lo)
-    lo /= al
+    lo = (log_u - np.log(np.maximum(dd, 0.0) + cc)) / al
     hi = np.zeros_like(z)
-    f = np.empty_like(z)
-    slope = np.empty_like(z)
-    step = np.empty_like(z)
     moving = np.ones(z.shape, dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        np.multiply(be, z, out=slope)
-        np.exp(slope, out=slope)
-        slope *= dd  # D0 e^(beta z)
-        np.add(cc, slope, out=f)
-        slope /= f
-        slope *= be
-        slope += al  # F'(z), zero only at z = 0 when C alpha + D0 (alpha + beta) = 0
-        np.log(f, out=f)
-        f -= log_u
-        np.multiply(al, z, out=step)
-        f += step  # F(z)
+        tail = np.exp(be * z) * dd  # D0 e^(beta z)
+        total = cc + tail
+        slope = tail / total * be + al  # F'(z), zero only at z = 0 when C alpha + D0 (alpha + beta) = 0
+        f = np.log(total) - log_u + al * z  # F(z)
         np.copyto(lo, z, where=f < 0.0)
         np.copyto(hi, z, where=f > 0.0)
         np.divide(f, slope, out=f, where=slope > 0.0)  # the Newton step is z - f
-        np.subtract(z, f, out=step)
-        np.add(lo, hi, out=slope)
-        slope *= 0.5
-        np.copyto(step, slope, where=(step < lo) | (step > hi))
-        np.abs(f, out=f)
-        np.subtract(1.0, z, out=slope)
-        slope *= _NEWTON_TOL
+        step = z - f
+        np.copyto(step, (lo + hi) * 0.5, where=(step < lo) | (step > hi))
+        tol = (1.0 - z) * _NEWTON_TOL
         np.copyto(z, step, where=moving)
-        moving &= f > slope
+        moving &= np.abs(f) > tol
         if not moving.any():
             return
     rows = np.flatnonzero(moving)
@@ -639,12 +638,7 @@ def _naming(field: str):
 def model_from_dict(spec: dict) -> FrontierModel:
     if not isinstance(spec, dict):
         raise ModelError(f"model specification must be a JSON object, got {type(spec).__name__}")
-    dimension = _float(spec.get("dimension", 1), "field 'dimension'")
-    if not dimension.is_integer():
-        raise ModelError(f"field 'dimension' must be a whole number, got {dimension!r}")
-    d = int(dimension)
-    if not 1 <= d <= 16:  # from 17 axes on, even 2 points per axis make a support grid of over 65536 points
-        raise ModelError(f"field 'dimension' must be between 1 and 16, got {d}")
+    d = _dimension(spec.get("dimension", 1))
     f_spec = spec.get("f")
     if f_spec is None:
         f = CovariateDensity.uniform(d)
@@ -670,9 +664,6 @@ def model_from_dict(spec: dict) -> FrontierModel:
             raise ModelError(f"field {name!r} must be an object with 'kind' and 'a', got {sub!r}")
         with _naming(name):
             fields[name] = ScalarField.from_dict(sub, d)
-    omega = spec.get("omega", DEFAULT_OMEGA)
-    if not isinstance(omega, (list, tuple)) or len(omega) != 2 or not all(isinstance(v, (int, float)) for v in omega):
-        raise ModelError(f"field 'omega' must be two numbers, got {omega!r}")
     return FrontierModel(
         g=fields["g"],
         alpha=fields["alpha"],
@@ -683,7 +674,7 @@ def model_from_dict(spec: dict) -> FrontierModel:
         dimension=d,
         eta_g=spec.get("eta_g", 1.0),
         eta_alpha=spec.get("eta_alpha", 1.0),
-        omega=omega,
+        omega=spec.get("omega", DEFAULT_OMEGA),
     )
 
 

@@ -120,7 +120,7 @@ def _scan(sample: Sample, points: np.ndarray, h: float, kernel: KernelSpec, rows
 
     Candidate k pairs point seg[k] with sample row rows[k], sorted by
     (seg, row).  One column-wise kernel pass (``KernelSpec.window_weights``)
-    weighs every pair, and the pairs with positive weight are the windows;
+    weighs every pair, and the pairs with r^2 < 1 are the windows;
     M per window is a ``np.maximum.reduceat`` over its rows, so every
     t = Y / M lies in (0, 1].
     """

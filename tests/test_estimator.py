@@ -255,6 +255,34 @@ class TestRates:
         with pytest.raises(ScheduleError):
             schedule(100, sched)  # h = 5 * 100^-0.2 > 1
 
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: RateSchedule(c1=0.0, c2=0.5, d=1, eta_g=1.0, alpha_bar=1.0), ScheduleError, "schedule parameter c1 must be positive"),
+            (lambda: RateSchedule(c1=0.5, c2=0.5, d=0, eta_g=1.0, alpha_bar=1.0), ScheduleError, "dimension d must be a positive integer"),
+            (
+                lambda: schedule(1000, RateSchedule(c1=0.5, c2=0.5, d=1, eta_g=1.0, alpha_bar=1.0, k1=0.01)),
+                ScheduleError,
+                "moment power 0.316228 falls below 1 at n=1000",
+            ),
+            (lambda: schedule(1, RateSchedule.optimal(d=1, eta_g=1.0, alpha_bar=1.0)), ValueError, "schedules are defined for n >= 2"),
+            (lambda: w_rate(1, 5.0, 0.1, 1.0, 1), ValueError, "rate is defined for n >= 2"),
+            # 10^400 is past the float range: n ** c1 raised a bare OverflowError
+            (
+                lambda: schedule(10**400, RateSchedule.optimal(d=1, eta_g=1.0, alpha_bar=1.0)),
+                ScheduleError,
+                f"powers of the sample size overflow at n={10**400}",
+            ),
+            # h ** d raised a bare OverflowError
+            (lambda: w_rate(1000, 5.0, 1e160, 1.0, 2), ValueError, "rate overflows at n = 1000, p = 5.0, h = 1e+160, alpha_bar = 1.0, d = 2"),
+        ],
+        ids=["c1-zero", "d-zero", "p-below-one", "schedule-n-one", "w-rate-n-one", "schedule-overflow", "w-rate-overflow"],
+    )
+    def test_schedule_and_rate_refusals(self, call, error, message):
+        with pytest.raises(error) as err:
+            call()
+        assert err.type is error and str(err.value) == message
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EstimatorConfig(p=0.5, h=0.1, kernel=K1)

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
-from frontier_moments import KernelSpec, kernel_from_name
+from frontier_moments import KernelSpec, Sample, kernel_from_name
+from frontier_moments.moments import grid_windows
 
 
 def test_epanechnikov_1d_values():
@@ -217,14 +219,48 @@ def test_window_weights_equal_scaled_density_bit_for_bit(profile, d):
     assert inside is None and weights.tobytes() == want[: counts[0]][want[: counts[0]] > 0.0].tobytes()
 
 
-def test_window_weights_drop_pairs_whose_weight_underflows():
+def test_window_weights_refuse_a_bandwidth_whose_weights_underflow():
     # at h = 2^1000, a pair with r^2 = 1 - 2^-39 has biweight weight 0.9375 * 2^-78 / 2^1000, which rounds to 0:
-    # inside the ball by the radius test, but out of the window, as scaled_density says
+    # inside the ball by the radius test, so the bandwidth is refused rather than the pair dropped
     k = KernelSpec(profile="biweight_ball", dimension=1)
     h = 2.0**1000
     xs = -h * np.array([[0.5], [1.0 - 2.0**-40], [0.25], [1.0]])
-    rows = np.arange(4)
-    want = k.scaled_density(np.zeros((4, 1)), xs, h)
-    assert want[1] == 0.0 and np.count_nonzero(want) == 2
-    inside, weights = k.window_weights(np.zeros((1, 1)), np.array([4]), xs, rows, h)
-    assert inside.tolist() == [0, 2] and weights.tobytes() == want[[0, 2]].tobytes()
+    message = re.escape(f"bandwidth h = {h!r} is too large: the kernel weights inside the ball underflow")
+    with pytest.raises(ValueError, match=message):
+        k.window_weights(np.zeros((1, 1)), np.array([4]), xs, np.arange(4), h)
+    with pytest.raises(ValueError, match=message):
+        k.scaled_density(np.zeros((4, 1)), xs, h)
+    with pytest.raises(ValueError, match=message):
+        next(grid_windows(Sample(xs=xs, ys=np.ones(4)), np.zeros((1, 1)), h, k))
+
+
+@pytest.mark.parametrize("profile", ["epanechnikov_ball", "biweight_ball", "uniform_ball"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_window_is_exactly_the_open_ball_up_to_the_refused_bandwidths(profile, d):
+    # h = 2^k with h^d from 2^940 to past the float maximum: either weight_scale refuses h, or the pairs
+    # window_weights keeps are exactly those with r^2 < 1, each with a positive, finite weight
+    k = KernelSpec(profile=profile, dimension=d)
+    rng = np.random.default_rng(300 + d)
+    sphere = sphere_points(d)
+    # the rows lie at -h u around the point 0: exact, as h is a power of two
+    u = np.vstack([sphere, np.nextafter(sphere, 0.0), np.nextafter(sphere, 2.0 * sphere), rng.uniform(-1.0, 1.0, size=(60, d))])
+    rows = np.arange(u.shape[0])
+    refused = 0
+    for e in range(-(-940 // d), min(1023, 1030 // d) + 1):
+        h = 2.0**e
+        xs = -h * u
+        try:
+            k.weight_scale(h, xs.shape[0])
+        except ValueError as err:
+            assert "is too large" in str(err)
+            with pytest.raises(ValueError, match="is too large"):
+                k.window_weights(np.zeros((1, d)), np.array([rows.size]), xs, rows, h)
+            refused += 1
+            continue
+        inside, weights = k.window_weights(np.zeros((1, d)), np.array([rows.size]), xs, rows, h)
+        r2 = np.sum(((0.0 - xs) / h) ** 2, axis=1)
+        assert inside.tolist() == np.flatnonzero(r2 < 1.0).tolist()
+        assert np.all(weights > 0.0) and np.all(np.isfinite(weights))
+        # the rows one ulp inside the ball are in every window
+        assert np.isin(np.arange(sphere.shape[0], 2 * sphere.shape[0]), inside).all()
+    assert refused or profile == "uniform_ball"  # a uniform weight c / h^d underflows only past the float maximum

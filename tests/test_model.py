@@ -226,6 +226,8 @@ REFERENCE_MODELS = {
         D0=ScalarField.constant(-0.2),
     ),
     "C-zero": ONE_TERM_MODELS["C-zero"],
+    # D0 = 0 at x = 0.5 only, where draws_with_edges puts its edge levels: a batch of one- and two-term rows
+    "D0-crosses-zero": make_model(C=ScalarField.affine(1.25, -0.5), D0=ScalarField.affine(-0.25, 0.5)),
 }
 
 # constant tail fields with alpha > 0 and beta > 0; the last two rise somewhere in y
@@ -247,6 +249,15 @@ class TestQuantileInversion:
             assert np.max(np.abs(got - bisection_quantile(model, xs, us))) <= 1e-15
             assert np.all(got[us < 1.0] > 0.0) and np.all(got <= 1.0)
         assert quantile(model, np.full(model.dimension, 0.5), 1.0) == 0.0
+
+    def test_mixed_batch_equals_per_row_quantile(self):
+        # the x = 0.5 rows are solved in closed form, the others by Newton on the batch's two-term part
+        model = REFERENCE_MODELS["D0-crosses-zero"]
+        assert validate(model).ok
+        xs = np.array([[0.1], [0.5], [0.9], [0.5], [0.3]])
+        us = np.array([0.3, 0.3, 0.7, 0.9, 0.05])
+        want = np.array([quantile(model, x, u) for x, u in zip(xs, us)])
+        assert _quantile_batch(model, xs, us).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("model", ONE_TERM_MODELS.values(), ids=ONE_TERM_MODELS.keys())
     def test_one_term_rows_are_closed_form(self, model):
@@ -520,6 +531,32 @@ class TestModelConfig:
     def test_omega_inside_support(self):
         with pytest.raises(ModelError):
             make_model(omega=(0.5, 1.5))
+
+    @pytest.mark.parametrize(
+        "d, overrides, message",
+        [
+            (17, {}, "field 'dimension' must be between 1 and 16, got 17"),
+            (1, dict(dimension=0), "field 'dimension' must be between 1 and 16, got 0"),
+            (1, dict(dimension=1.5), "field 'dimension' must be a whole number, got 1.5"),
+            (1, dict(dimension=True), "field 'dimension' must be a number, got True"),
+            (1, dict(omega=(0.1, 0.5, 0.9)), "field 'omega' must be two numbers, got (0.1, 0.5, 0.9)"),
+            (1, dict(omega=0.5), "field 'omega' must be two numbers, got 0.5"),
+            (1, dict(omega=("a", "b")), "field 'omega' must be two numbers, got ('a', 'b')"),
+        ],
+        ids=["dimension-17", "dimension-zero", "dimension-fractional", "dimension-bool", "omega-three-numbers",
+             "omega-scalar", "omega-strings"],
+    )
+    def test_model_built_in_code_keeps_the_shape_rules(self, d, overrides, message):
+        # the rules model_from_dict applied to JSON alone: d = 17 made validate build a 2^17-point support grid
+        fields = {name: ScalarField.constant(1.0 if name != "D0" else 0.0, d) for name in ("g", "alpha", "beta", "C", "D0")}
+        with pytest.raises(ModelError) as err:
+            make_model(**{**fields, "f": CovariateDensity.uniform(d), "dimension": d, **overrides})
+        assert str(err.value) == message
+
+    def test_whole_float_dimension_is_stored_as_int(self):
+        fields = {name: ScalarField.constant(1.0 if name != "D0" else 0.0, 2) for name in ("g", "alpha", "beta", "C", "D0")}
+        m = make_model(**fields, f=CovariateDensity.uniform(2), dimension=2.0, omega=[0.2, np.float64(0.8)])
+        assert type(m.dimension) is int and m.dimension == 2 and m.omega == (0.2, 0.8)
 
 
 # d = 8 models whose fields run BLAS gemv on 64,001 rows and on validate's 4**8-point support grid

@@ -10,7 +10,9 @@ point.  The sample meets the kernel in one place, ``moments._scan``, which
 only ``moments.grid_windows`` calls, so every candidate list comes from the
 window index and none is a hand-built list of all n rows.  ``moments`` adds
 every window sum with ``np.bincount``, never ``np.sum``: one scan and one
-summation rule, with no second path beside them.
+summation rule, with no second path beside them.  A pair is in its window
+exactly when r^2 < 1: neither ``KernelSpec.window_weights`` nor
+``moments._scan`` compares a value with 0, such as a weight.
 Dataset text is parsed only by ``study``'s dataset reader: its
 ``np.loadtxt`` bulk path and the ``csv.reader`` row loop behind it.
 ``csv.writer`` writes only the estimates CSV; the dataset writer formats
@@ -110,6 +112,16 @@ def power_sites(module: str, source: str, base: str) -> list[str]:
         module,
         source,
         lambda n: isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow) and isinstance(n.left, ast.Name) and n.left.id == base,
+    )
+
+
+def zero_compare_sites(module: str, source: str) -> list[str]:
+    """Qualified name of the function around each comparison with the number 0, such as ``weights > 0.0``."""
+    return sites(
+        module,
+        source,
+        lambda n: isinstance(n, ast.Compare)
+        and any(isinstance(o, ast.Constant) and type(o.value) in (int, float) and o.value == 0 for o in [n.left, *n.comparators]),
     )
 
 
@@ -225,6 +237,12 @@ def test_scan_called_only_by_the_grid_path():
     assert [s for module, src in SOURCES.items() for s in arange_over_n_sites(module, src)] == []
 
 
+def test_window_membership_decided_by_the_radius_alone():
+    scan = ("kernels.KernelSpec.window_weights", "moments._scan")
+    found = zero_compare_sites("kernels", SOURCES["kernels"]) + zero_compare_sites("moments", SOURCES["moments"])
+    assert [s for s in found if any(s == name or s.startswith(f"{name}.") for name in scan)] == []
+
+
 def test_moments_sum_only_by_bincount():
     assert numpy_uses(SOURCES["moments"], "sum") == []
     assert numpy_uses(SOURCES["moments"], "bincount")
@@ -293,6 +311,8 @@ def test_guard_sees_copies():
     src = "import numpy as np\ndef f(s, x):\n    return _scan(s, x, np.arange(s.n), m._scan)\nclass K:\n    def g(self):\n        _scan()\n"
     assert call_sites("m", src, "_scan") == ["m.f", "m.K.g"]
     assert arange_over_n_sites("m", src) == ["m.f"]
+    src = "def f(w, r):\n    return w > 0.0, 0 < r, r < 1.0, w is False\nclass K:\n    def g(self):\n        def h(x):\n            return x == 0\n"
+    assert zero_compare_sites("m", src) == ["m.f", "m.f", "m.K.g.h"]
     src = "import csv\nimport numpy as np\ndef f(fh):\n    return np.loadtxt(fh), csv.reader(fh), fh.reader\n"
     assert attribute_sites("m", src, {"loadtxt"}) == ["m.f"]
     assert attribute_sites("m", src, {"reader"}, "csv") == ["m.f"]

@@ -419,6 +419,16 @@ class TestRunStudy:
             assert text in str(err.value)
 
 
+    def test_study_of_empty_windows_reports_every_cell_degenerate(self):
+        # at k2 = 1e-9 every window on the grid is empty, so no cell has a sup-error to fit a slope to
+        sched = RateSchedule(c1=0.5, c2=0.5, d=1, eta_g=1.0, alpha_bar=1.0, k2=1e-9)
+        config = small_study_config(sizes=(1000, 2000), replications=2, schedule=sched)
+        report, _ = run_study(canonical_model(), config)
+        assert [(cell["sup_error"], cell["failures"]) for cell in report["cells"]] == [(None, 21)] * 4
+        agg = report["aggregate"]
+        assert agg["degenerate_cells"] == 4
+        assert agg["median_sup_error"] == [None, None] and agg["log_log_slope"] is None
+
     def test_concentration_counts_an_empty_window_as_deviation_one(self):
         # at k2 = 1e-9 each window is narrower than 1e-10, and every one on the 50-point grid is empty
         sched = RateSchedule(c1=0.5, c2=0.5, d=1, eta_g=1.0, alpha_bar=1.0, k2=1e-9)
@@ -657,6 +667,13 @@ class TestSimulateCommand:
     def test_missing_model_exits_1(self, tmp_path):
         code = main(["simulate", "--model", str(tmp_path / "nope.json"), "--n", "10", "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 1
+
+    def test_truncated_model_file_exits_1(self, tmp_path, capsys):
+        model, out = tmp_path / "model.json", tmp_path / "x.csv"
+        model.write_text(json.dumps(FLAT_SPEC)[:-10])
+        assert main(["simulate", "--model", str(model), "--n", "10", "--seed", "1", "--out", str(out)]) == 1
+        assert "malformed JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_full_disk_exits_1_and_leaves_no_file(self, model_file, tmp_path, monkeypatch, capsys):
         model, out = model_file(CANONICAL_SPEC), tmp_path / "data.csv"
@@ -910,6 +927,29 @@ class TestMcStudyCommand:
             "--c1", "0.6", "--c2", "0.6", "--out", str(out),
         ])
         assert code == 2
+        assert not out.exists()
+
+    def test_study_of_empty_windows_exits_0(self, model_file, tmp_path):
+        out = tmp_path / "r.json"
+        code = main([
+            "mc-study", "--model", model_file(CANONICAL_SPEC), "--sizes", "400,900", "--reps", "1",
+            "--grid", "5", "--k2", "1e-9", "--out", str(out),
+        ])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["aggregate"]["degenerate_cells"] == 2 and report["aggregate"]["log_log_slope"] is None
+
+    def test_size_beyond_the_float_range_exits_2_before_any_cell(self, monkeypatch, model_file, tmp_path, capsys):
+        # n ** c1 raised a bare OverflowError, which ended in a traceback and exit 1
+        def no_cells(*args):
+            raise AssertionError("a cell ran before the schedule was checked")
+
+        monkeypatch.setattr(study_module, "sample", no_cells)
+        out = tmp_path / "r.json"
+        big = "1" + "0" * 400
+        code = main(["mc-study", "--model", model_file(CANONICAL_SPEC), "--sizes", f"1000,{big}", "--reps", "1", "--out", str(out)])
+        assert code == 2
+        assert f"powers of the sample size overflow at n={big}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_schema_fields(self, model_file, tmp_path):

@@ -202,6 +202,19 @@ def test_duplicated_covariates_and_a_one_point_window():
         assert [r.effective_count for r in records] == [40, 1, 3, 0]
 
 
+@pytest.mark.parametrize("n, axes, want", [(64, 3, 4), (2**60 - 1, 2, 2**30 - 1)])
+def test_cells_per_axis_corrects_the_float_root(n, axes, want):
+    # 64 ** (1 / 3) is 3.999..., and (2^60 - 1) ** 0.5 rounds up to 2^30
+    assert _cells_per_axis(n, axes) == want
+
+
+def test_cells_per_axis_is_the_integer_root():
+    for axes in range(1, 5):
+        for n in range(1, 20_001):
+            c = _cells_per_axis(n, axes)
+            assert c**axes <= n < (c + 1) ** axes
+
+
 @pytest.mark.parametrize("d, n", [(2, 30), (3, 60)])
 def test_tiny_bandwidth_caps_the_cell_count(d, n):
     # h = 1e-9 would give 1e9 cells per axis; the index keeps at most n cells in all
