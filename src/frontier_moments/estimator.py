@@ -75,9 +75,7 @@ def moment_ratio_pair(sample: Sample, x, p: float, a: float, h: float, kernel: K
     """
     _positive(p=p, h=h, a=a)
     windows = point_window(sample, x, h, kernel)
-    high = _one(windows, windows.ratio((a + 1.0) * p))
-    low = _one(windows, windows.ratio(p))
-    return high, low, int(windows.count[0])
+    return _one(windows, (a + 1.0) * p), _one(windows, p), int(windows.count[0])
 
 
 def estimate_at(sample: Sample, x, config: EstimatorConfig) -> EstimateRecord:
@@ -91,31 +89,22 @@ def estimate_grid(sample: Sample, grid, config: EstimatorConfig) -> list[Estimat
     Each point scans only the candidate rows of its window (``window_rows``),
     and its sums add in sample order, so every record equals the one a scan
     of all n rows gives.  The formula runs once per chunk on the ratio
-    arrays, which are NaN where a window is empty.  Where a non-empty
-    window's 1 / g_hat is not finite (responses near 2^-1020, whose
-    formula terms pass the float maximum), it is taken on the window's
-    scale M instead: raw_M from the ratios times M, g_hat = M / raw_M and
-    1 / g_hat = raw_M / M.  A point fails when its window is empty or its
+    arrays times 2^e (``Windows.ratio``), which are NaN where a window is
+    empty; ``np.ldexp`` then applies 2^-e to 1 / g_hat and 2^e to g_hat, so
+    each value has the bits the ratios themselves would give wherever it is
+    a normal float.  A point fails when its window is empty or its
     1 / g_hat is not positive and finite.
     """
     p, a = config.p, config.a
-
-    def inverse(high, low):
-        return (((a + 1.0) * p + 1.0) * high - (p + 1.0) * low) / (a * p)
-
     records = []
     for points, windows in grid_windows(sample, grid, config.h, config.kernel):
+        e = windows.exponent
         # as Python floats would, overflow to inf and inf - inf to NaN without a warning;
         # 1 / raw is read only where raw > 0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            high, low = windows.ratio((a + 1.0) * p), windows.ratio(p)
-            raw = inverse(high, low)
-            g_hat = 1.0 / raw
-            lost = np.flatnonzero((windows.count > 0) & ~np.isfinite(raw))
-            if lost.size:
-                m = windows.m[lost]
-                raw_m = inverse(high[lost] * m, low[lost] * m)
-                raw[lost], g_hat[lost] = raw_m / m, m / raw_m
+            raw = (((a + 1.0) * p + 1.0) * windows.ratio((a + 1.0) * p) - (p + 1.0) * windows.ratio(p)) / (a * p)
+            g_hat = np.ldexp(1.0 / raw, e)
+            raw = np.ldexp(raw, -e)
         ok = (raw > 0.0) & (raw < np.inf)
         records += [
             EstimateRecord(x=tuple(x), g_hat=g if o else None, effective_count=c, raw_inverse=r if c else None)
@@ -223,6 +212,8 @@ def schedule(n: int, sched: RateSchedule) -> tuple[float, float]:
         h = sched.k2 * n ** (-sched.c2)
     except OverflowError:
         raise ScheduleError(f"powers of the sample size overflow at n={n}") from None
+    if p == math.inf:
+        raise ScheduleError(f"moment power k1 * n^c1 overflows at k1={sched.k1!r}, n={n}")
     if not 0.0 < h < 1.0:
         raise ScheduleError(f"bandwidth {h:.6g} falls outside (0, 1) at n={n}")
     if p < 1.0:

@@ -7,6 +7,9 @@ every mantissa term (Y_i / M)^p lies in [0, 1], the dominant one is exactly
 1, and the represented value is mantissa * exp(log_scale) with
 log_scale = p * log(M).  Ratios of consecutive moments share one window
 scan and one scale, so the common factor cancels without ever being formed.
+A ratio is carried on its window's power of two, M = m 2^e (``np.frexp``):
+``Windows.ratio`` is the ratio times 2^e, and its callers apply 2^-e with
+``np.ldexp``, which is exact wherever the result is a normal float.
 
 Every moment is read from one scan (``_scan``): a batch of (query point,
 sample row) candidate pairs goes through one column-wise kernel pass
@@ -39,8 +42,6 @@ from .model import Sample, _points, _positive, _tensor
 # most candidate rows one batched scan holds at once; a grid with more is scanned in chunks.
 # At 2**14 each transient array is 128 KB: larger chunks raised the studies' peak RSS and ran no faster.
 _CHUNK_ROWS = 2**14
-# np.finfo(float).tiny, the smallest normal float: a product below it has lost bits
-_TINY = 2.0**-1022
 # a run's radius in units of h: the kernel accepts a squared radius that rounds below 1 from at most
 # 1 + (d + 5) eps, and the chord's own rounding costs a few eps more; 2^-40 covers both for any d <= 16
 _REACH = 1.0 + 2.0**-40
@@ -73,7 +74,9 @@ class Windows:
     its window, its kernel weight and Y / M, ordered by window and then by
     sample row, so each window's rows are one run.  ``m`` (M, the largest
     response in the window, one ``np.maximum.reduceat`` over its run; 0
-    when it is empty) and ``count`` hold one entry per window.
+    when it is empty) and ``count`` hold one entry per window.  Only these
+    methods read M: callers see the ratios on its power of two 2^e and the
+    ``exponent`` e.
     """
 
     seg: np.ndarray
@@ -86,25 +89,24 @@ class Windows:
         """Per window, the sum of values * w over its rows, added in sample order."""
         return np.bincount(self.seg, values * self.w, minlength=self.count.size)
 
-    def ratio(self, q: float) -> np.ndarray:
-        """mu_q / mu_(q+1) on the scale M per window; NaN where the window is empty.
+    @property
+    def exponent(self) -> np.ndarray:
+        """e per window, where M = m 2^e with m in [0.5, 1) (``np.frexp``); 0 where the window is empty."""
+        return np.frexp(self.m)[1]
 
-        The ratio is num / (M den).  Where M den overflows (M near the
-        float maximum) or falls below the smallest normal float, it is
-        num / den / M instead, so the ratio scales exactly with M.
+    def ratio(self, q: float) -> np.ndarray:
+        """mu_q / mu_(q+1) times 2^e per window, where M = m 2^e; NaN where the window is empty.
+
+        It is num / (m den), so its size does not depend on M's, and
+        ``np.ldexp(ratio, -exponent)`` is the ratio itself, with the bits
+        of num / (M den) wherever that is a normal float.
         """
         tq = self.t**q
         num = self.total(tq)
         den = self.total(tq * self.t)
-        full = self.count > 0
-        with np.errstate(over="ignore"):
-            scale = self.m * den
-            fast = full & (scale >= _TINY) & (scale < np.inf)
-            out = np.divide(num, scale, out=np.full(num.size, np.nan), where=fast)
-            slow = full & ~fast
-            if slow.any():
-                out[slow] = num[slow] / den[slow] / self.m[slow]
-        return out
+        # an empty window has num = den = m = 0, and 0 / 0 is its NaN
+        with np.errstate(invalid="ignore"):
+            return num / (np.frexp(self.m)[0] * den)
 
     def moments(self, p: float, n: int) -> list[ScaledMoment]:
         """(1/n) sum_i Y_i^p K_h(x - X_i) per window; an empty window is count 0, mantissa 0."""
@@ -297,11 +299,13 @@ def _gather(order, starts, lengths, per_point):
     return rows, seg
 
 
-def _one(windows: Windows, values) -> float:
-    """The value of a one-point window, or InsufficientLocalDataError when it is empty."""
+def _one(windows: Windows, q: float) -> float:
+    """mu_q / mu_(q+1) of a one-point window, or InsufficientLocalDataError when it is empty."""
     if windows.count[0] == 0:
         raise InsufficientLocalDataError("kernel window holds 0 points")
-    return float(values[0])
+    # past the float maximum the ratio is inf without a warning, as a Python float's would be
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(windows.ratio(q)[0], -windows.exponent[0]))
 
 
 def scaled_moment(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> ScaledMoment:
@@ -320,8 +324,7 @@ def moment_ratio(sample: Sample, x, p: float, h: float, kernel: KernelSpec) -> f
     the naive ratio of the two moments.
     """
     _positive(p=p, h=h)
-    windows = point_window(sample, x, h, kernel)
-    return _one(windows, windows.ratio(p))
+    return _one(point_window(sample, x, h, kernel), p)
 
 
 def effective_count(sample: Sample, x, h: float) -> int:

@@ -139,26 +139,20 @@ class TestEstimateGrid:
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_power_of_two_scaling_is_exact_across_the_float_range(self, d):
-        # Y -> 2**k Y leaves every t = Y / M as it was and scales M exactly, so g_hat scales bit for bit;
-        # near the float maximum M * den overflows, and the ratio divides by den first
+        # Y -> 2**k Y leaves every t = Y / M as it was and scales M by 2**k, so the ratios on the window's
+        # power of two keep their bits and g_hat and 1 / g_hat scale bit for bit, up to the ends of the range
         model = canonical_model() if d == 1 else load_model(ROOT / "benchmarks" / "models" / "plane_2d.json")
         s = sample(model, 4000, seed=8)
         grid = evaluation_grid((0.1, 0.9), d, 21)
         cfg = EstimatorConfig(p=20.0 if d == 1 else 15.0, h=0.05 if d == 1 else 0.1, kernel=KernelSpec(dimension=d))
         base = estimate_grid(s, grid, cfg)
         assert all(r.ok for r in base)
-        for k in (-1020, -1018, -1000, -600, 0, 600, 1000, 1020, 1022):
+        for k in (-1020, -1018, -1000, -600, 0, 600, 1000, 1018, 1020, 1022, 1023):
             got = estimate_grid(Sample(xs=s.xs, ys=s.ys * 2.0**k), grid, cfg)
             assert [r.effective_count for r in got] == [r.effective_count for r in base]
             assert all(r.ok for r in got), k
-            # near 2**-1020 the formula's terms pass the float maximum: no estimate may come from an overflow
-            assert all(r.g_hat > 0.0 and math.isfinite(r.raw_inverse) for r in got), k
-            scaled = [r.g_hat * 2.0**k for r in base]
-            if abs(k) <= 1000:
-                assert [r.g_hat for r in got] == scaled, k
-                assert [r.raw_inverse for r in got] == [r.raw_inverse * 2.0**-k for r in base], k
-            else:
-                assert_allclose([r.g_hat for r in got], scaled, rtol=8 * np.finfo(float).eps, atol=0)
+            assert [r.g_hat for r in got] == [math.ldexp(r.g_hat, k) for r in base], k
+            assert [r.raw_inverse for r in got] == [math.ldexp(r.raw_inverse, -k) for r in base], k
         # below about 2**-1022 the ratios themselves pass the float maximum; as with Python floats, no warning
         estimate_grid(Sample(xs=s.xs, ys=s.ys * 2.0**-1040), grid, cfg)
 
@@ -273,10 +267,16 @@ class TestRates:
                 ScheduleError,
                 f"powers of the sample size overflow at n={10**400}",
             ),
+            # the product k1 * n ** c1 overflows, not the power
+            (
+                lambda: schedule(1000, RateSchedule(c1=0.5, c2=0.5, d=1, eta_g=1.0, alpha_bar=1.0, k1=1e308)),
+                ScheduleError,
+                "moment power k1 * n^c1 overflows at k1=1e+308, n=1000",
+            ),
             # h ** d raised a bare OverflowError
             (lambda: w_rate(1000, 5.0, 1e160, 1.0, 2), ValueError, "rate overflows at n = 1000, p = 5.0, h = 1e+160, alpha_bar = 1.0, d = 2"),
         ],
-        ids=["c1-zero", "d-zero", "p-below-one", "schedule-n-one", "w-rate-n-one", "schedule-overflow", "w-rate-overflow"],
+        ids=["c1-zero", "d-zero", "p-below-one", "schedule-n-one", "w-rate-n-one", "schedule-overflow", "schedule-k1-overflow", "w-rate-overflow"],
     )
     def test_schedule_and_rate_refusals(self, call, error, message):
         with pytest.raises(error) as err:

@@ -15,6 +15,7 @@ from frontier_moments import (
     ModelError,
     Sample,
     ScalarField,
+    evaluation_grid,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -466,6 +467,8 @@ class TestSampling:
 
 class TestSampleType:
     def test_invariants(self):
+        with pytest.raises(ValueError, match=r"^xs must have shape \(n, d\)$"):
+            Sample(xs=np.zeros(3), ys=np.ones(3))
         with pytest.raises(ValueError):
             Sample(xs=np.zeros((3, 1)), ys=np.array([1.0, 0.0, 2.0]))
         with pytest.raises(ValueError):
@@ -542,9 +545,10 @@ class TestModelConfig:
             (1, dict(omega=(0.1, 0.5, 0.9)), "field 'omega' must be two numbers, got (0.1, 0.5, 0.9)"),
             (1, dict(omega=0.5), "field 'omega' must be two numbers, got 0.5"),
             (1, dict(omega=("a", "b")), "field 'omega' must be two numbers, got ('a', 'b')"),
+            (1, dict(f=CovariateDensity.uniform(2)), "covariate density dimension does not match the model"),
         ],
         ids=["dimension-17", "dimension-zero", "dimension-fractional", "dimension-bool", "omega-three-numbers",
-             "omega-scalar", "omega-strings"],
+             "omega-scalar", "omega-strings", "f-dimension"],
     )
     def test_model_built_in_code_keeps_the_shape_rules(self, d, overrides, message):
         # the rules model_from_dict applied to JSON alone: d = 17 made validate build a 2^17-point support grid
@@ -552,6 +556,21 @@ class TestModelConfig:
         with pytest.raises(ModelError) as err:
             make_model(**{**fields, "f": CovariateDensity.uniform(d), "dimension": d, **overrides})
         assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: ScalarField.constant(1.0, dimension=0), ModelError, "field dimension must be a positive integer"),
+            (lambda: CovariateDensity(marginals=()), ModelError, "covariate density needs at least one marginal"),
+            (lambda: evaluation_grid((0.1, 0.9), 1, 0), ValueError, "grid needs at least one point per axis"),
+        ],
+        ids=["field-dimension-zero", "no-marginals", "grid-per-axis-zero"],
+    )
+    def test_shapes_refused_in_code(self, build, error, message):
+        # a field, a covariate density and a grid built in code each refuse an empty shape by name
+        with pytest.raises(error) as err:
+            build()
+        assert err.type is error and str(err.value) == message
 
     def test_whole_float_dimension_is_stored_as_int(self):
         fields = {name: ScalarField.constant(1.0 if name != "D0" else 0.0, 2) for name in ("g", "alpha", "beta", "C", "D0")}

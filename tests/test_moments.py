@@ -9,6 +9,7 @@ from frontier_moments import (
     InsufficientLocalDataError,
     KernelSpec,
     Sample,
+    ScaledMoment,
     effective_count,
     load_model,
     moment_ratio,
@@ -63,6 +64,9 @@ class TestScaledMoment:
             for x in (0.3, 0.5, 0.7):
                 m = scaled_moment(s, [x], p, 0.2, K1)
                 assert_allclose(m.log_value, math.log(naive_moment(s, [x], p, 0.2, K1)), rtol=1e-10)
+
+    def test_zero_mantissa_has_log_value_minus_inf(self):
+        assert ScaledMoment(log_scale=0.0, mantissa=0.0, count=0).log_value == -math.inf
 
     def test_rejects_bad_parameters(self):
         s = uniform_sample(10, seed=4)
@@ -125,6 +129,26 @@ class TestMomentRatioPair:
         s = uniform_sample(50, seed=10)
         with pytest.raises(InsufficientLocalDataError):
             moment_ratio_pair(s, [10.0], 5.0, 1.0, 0.05, K1)
+
+
+@pytest.mark.parametrize("k", [-1040, -1021, -1020, -1018, -1000, -600, 0, 600, 1000, 1018, 1019, 1020, 1021, 1022, 1023])
+def test_one_point_ratios_scale_exactly_wherever_they_are_normal(k):
+    # Y -> 2**k Y keeps every t = Y / M and scales M by 2**k, so each ratio scales by 2**-k bit for bit wherever
+    # that is a normal float (here to k = 1021), and is inf without a warning past the float maximum (k = -1040);
+    # from 2**-1022 down the smaller responses turn subnormal and t loses bits
+    s = sample(load_model(Path(__file__).resolve().parent.parent / "models" / "canonical.json"), 4000, seed=8)
+    x, p, a, h = [0.5], 20.0, 1.0, 0.05
+
+    def ratios(smpl):
+        return (moment_ratio(smpl, x, p, h, K1), *moment_ratio_pair(smpl, x, p, a, h, K1)[:2])
+
+    base, got = ratios(s), ratios(Sample(xs=s.xs, ys=s.ys * 2.0**k))
+    with np.errstate(over="ignore"):
+        want = [float(np.ldexp(b, -k)) for b in base]
+    normal = [abs(w) >= np.finfo(float).tiny for w in want]
+    assert all(normal) == (k <= 1021)
+    assert [g for g, n in zip(got, normal) if n] == [w for w, n in zip(want, normal) if n]
+    assert (k == -1040) == (got == (math.inf,) * 3)
 
 
 class TestEffectiveCount:

@@ -12,7 +12,9 @@ window index and none is a hand-built list of all n rows.  ``moments`` adds
 every window sum with ``np.bincount``, never ``np.sum``: one scan and one
 summation rule, with no second path beside them.  A pair is in its window
 exactly when r^2 < 1: neither ``KernelSpec.window_weights`` nor
-``moments._scan`` compares a value with 0, such as a weight.
+``moments._scan`` compares a value with 0, such as a weight.  A window's
+scale M (``Windows.m``) is read only by ``Windows``'s own methods: every
+other caller sees the ratios on M's power of two.
 Dataset text is parsed only by ``study``'s dataset reader: its
 ``np.loadtxt`` bulk path and the ``csv.reader`` row loop behind it.
 ``csv.writer`` writes only the estimates CSV; the dataset writer formats
@@ -243,6 +245,11 @@ def test_window_membership_decided_by_the_radius_alone():
     assert [s for s in found if any(s == name or s.startswith(f"{name}.") for name in scan)] == []
 
 
+def test_window_scale_read_only_by_the_windows():
+    sites = [s for module, src in SOURCES.items() for s in attribute_sites(module, src, {"m"})]
+    assert sites and all(s.startswith("moments.Windows.") for s in sites), sites
+
+
 def test_moments_sum_only_by_bincount():
     assert numpy_uses(SOURCES["moments"], "sum") == []
     assert numpy_uses(SOURCES["moments"], "bincount")
@@ -316,6 +323,8 @@ def test_guard_sees_copies():
     src = "import csv\nimport numpy as np\ndef f(fh):\n    return np.loadtxt(fh), csv.reader(fh), fh.reader\n"
     assert attribute_sites("m", src, {"loadtxt"}) == ["m.f"]
     assert attribute_sites("m", src, {"reader"}, "csv") == ["m.f"]
+    src = "class W:\n    def r(self):\n        return self.m\ndef f(w, m):\n    return w.m[0], m, w.mm\n"
+    assert attribute_sites("m", src, {"m"}) == ["m.W.r", "m.f"]
     src = "import itertools\nfrom itertools import product\nimport numpy as np\ng = np.meshgrid(a, a), np.outer(a, a)\n"
     assert imported_modules(src) == ["itertools", "itertools", "numpy"]
     assert numpy_uses(src, "meshgrid") == [4] and numpy_uses(src, "outer") == [4]

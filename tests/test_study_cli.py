@@ -384,6 +384,8 @@ class TestRunStudy:
             small_study_config(sizes=(900, 400))
         with pytest.raises(ValueError):
             small_study_config(replications=0)
+        with pytest.raises(ValueError, match="^the evaluation grid needs at least two points per axis$"):
+            small_study_config(grid_per_axis=1)
 
     @pytest.mark.parametrize("study", [run_study, moment_concentration])
     @pytest.mark.parametrize(
@@ -649,6 +651,11 @@ class TestSimulateCommand:
             ({**FLAT_SPEC, "dimension": 17}, "'dimension'"),
             ({**FLAT_SPEC, "dimension": 1000}, "'dimension'"),
             ({**FLAT_SPEC, "dimension": 10**400}, "'dimension'"),
+            ({**FLAT_SPEC, "g": {"kind": "cubic", "a": 1.0}}, "'g': unknown field kind 'cubic'"),
+            ({**FLAT_SPEC, "g": {"kind": "sinusoid", "a": 1.0, "b": [0.1, 0.2], "c": [1.0]}}, "'g': sinusoid amplitude b must be a scalar"),
+            ({**FLAT_SPEC, "g": {"kind": "sinusoid", "a": 1.0, "b": 0.1, "c": [1.0, 2.0]}}, "'g': sinusoid frequency c needs one entry"),
+            ({**FLAT_SPEC, "f": [{"kind": "cubic"}]}, "'f': unknown marginal density kind 'cubic'"),
+            ({**FLAT_SPEC, "f": [{"kind": "uniform", "slope": 0.5}]}, "'f': uniform marginal takes no slope"),
         ],
         ids=["field-without-a", "field-not-object", "field-without-kind", "omega-one-number",
              "omega-scalar", "omega-strings", "top-level-list", "dimension-null", "dimension-fractional",
@@ -656,7 +663,8 @@ class TestSimulateCommand:
              "eta-g-null", "eta-alpha-list", "eta-alpha-nan", "eta-g-negative", "field-a-text", "affine-b-text",
              "affine-b-nested", "dimension-bool", "field-a-bool", "eta-g-bool", "omega-bools", "dimension-text",
              "field-a-numeric-text", "eta-g-text", "dimension-zero", "dimension-17", "dimension-1000",
-             "dimension-beyond-float"],
+             "dimension-beyond-float", "field-kind-unknown", "sinusoid-b-vector", "sinusoid-c-length",
+             "marginal-kind-unknown", "uniform-marginal-slope"],
     )
     def test_malformed_model_exits_2_naming_field(self, model_file, tmp_path, capsys, spec, named):
         model = model_file(spec)
@@ -950,6 +958,14 @@ class TestMcStudyCommand:
         code = main(["mc-study", "--model", model_file(CANONICAL_SPEC), "--sizes", f"1000,{big}", "--reps", "1", "--out", str(out)])
         assert code == 2
         assert f"powers of the sample size overflow at n={big}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_power_past_the_float_range_exits_2_naming_k1(self, model_file, tmp_path, capsys):
+        # k1 * n ** c1 overflows in the product, not the power: the refusal names k1
+        out = tmp_path / "r.json"
+        code = main(["mc-study", "--model", model_file(CANONICAL_SPEC), "--sizes", "1000,4000", "--k1", "1e308", "--out", str(out)])
+        assert code == 2
+        assert "k1=1e+308" in capsys.readouterr().err
         assert not out.exists()
 
     def test_report_schema_fields(self, model_file, tmp_path):

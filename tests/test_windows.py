@@ -433,8 +433,7 @@ def test_batched_grid_matches_per_point_sums(case, profile):
         records = estimate_grid(smpl, grid, config)
         outcomes |= {"empty" if r.raw_inverse is None else "ok" if r.ok else "nonpositive" for r in records}
         windows = [w for _, w in moments_module.grid_windows(smpl, grid, h, kernel)]
-        high = np.concatenate([w.ratio((a + 1.0) * p) for w in windows])
-        low = np.concatenate([w.ratio(p) for w in windows])
+        high, low = (np.concatenate([np.ldexp(w.ratio(q), -w.exponent) for w in windows]) for q in ((a + 1.0) * p, p))
         assert [r.effective_count for r in records] == [c for c, _, _ in want]
         for x, rec in zip(grid, records):
             assert estimate_at(smpl, x, config) == estimate_grid(smpl, [x], config)[0] == rec
